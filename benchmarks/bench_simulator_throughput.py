@@ -60,9 +60,20 @@ def _measure_speedups(rounds: int = 10) -> dict:
     machine load; ``min`` over rounds discards transient interference.  GC is
     disabled during timed regions so collection pauses don't land on one
     engine's ledger.
+
+    Every cell also records ``reference_uops_per_calibration``: the
+    reference engine's throughput normalised by a fixed pure-Python loop
+    timed right before and after each of its runs
+    (:func:`repro.sim.hostspeed.normalised_throughput`).  The compute
+    cell's is the baseline ``tests/test_perf_guard.py`` checks against;
+    ``python`` records the interpreter it was measured under, since the
+    loop and the simulator need not speed up alike across versions.
     """
     import gc
+    import platform
     import time
+
+    from repro.sim.hostspeed import calibration_seconds, normalised_throughput
 
     cells = [
         ("compute/at-commit", "exchange2", "at-commit"),
@@ -71,24 +82,39 @@ def _measure_speedups(rounds: int = 10) -> dict:
         ("burst/spb", "bwaves", "spb"),
     ]
     trace_cache = {}
-    report = {"length": LENGTH, "sb_entries": 14, "rounds": rounds, "cells": {}}
+    report = {
+        "length": LENGTH,
+        "sb_entries": 14,
+        "rounds": rounds,
+        "python": platform.python_version(),
+        "cells": {},
+    }
     gc.disable()
     try:
         for label, app, policy in cells:
             trace = trace_cache.setdefault(app, spec2017(app, length=LENGTH))
             best = {"reference": float("inf"), "fast": float("inf")}
+            calibrated = []
             for _ in range(rounds):
                 for engine in ENGINES:
                     gc.collect()
+                    if engine == "reference":
+                        before = calibration_seconds()
                     start = time.perf_counter()
                     _simulate(trace, policy, engine)
-                    best[engine] = min(best[engine], time.perf_counter() - start)
+                    seconds = time.perf_counter() - start
+                    best[engine] = min(best[engine], seconds)
+                    if engine == "reference":
+                        calibrated.append((before, seconds, calibration_seconds()))
             report["cells"][label] = {
                 "reference_s": round(best["reference"], 4),
                 "fast_s": round(best["fast"], 4),
                 "speedup": round(best["reference"] / best["fast"], 3),
                 "fast_uops_per_s": round(LENGTH / best["fast"]),
                 "reference_uops_per_s": round(LENGTH / best["reference"]),
+                "reference_uops_per_calibration": round(
+                    normalised_throughput(LENGTH, calibrated)
+                ),
             }
     finally:
         gc.enable()

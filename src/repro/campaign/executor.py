@@ -9,6 +9,14 @@ crashed jobs are retried (``retries`` extra attempts each), and the engine
 degrades gracefully to in-process serial execution when ``max_workers`` is
 1 or the platform cannot spawn a pool.
 
+Cache misses run grouped by trace identity (workload kind, name, length,
+seed, threads) in first-appearance order, and a one-slot memo
+(:class:`TraceSlot`) hands every job of a group the trace(s) its first job
+generated: a sweep of N configs over one workload builds the workload
+once, not N times.  The memo holds at most one workload at a time and is
+emptied when :func:`run_campaign` returns; pool workers keep one each for
+their lifetime.  Outside a campaign every job builds its own trace.
+
 Per-job ``timeout`` (seconds) applies to pool execution only: a job whose
 result does not arrive in time counts as a failed attempt.  The worker
 process itself cannot be interrupted mid-simulation, so the pool is shut
@@ -54,7 +62,50 @@ def job_trace_path(trace_dir: str, job: Job) -> str:
     return os.path.join(trace_dir, f"{job.key}.trace.jsonl")
 
 
-def run_job(job: Job, trace_dir: str | None = None):
+class TraceSlot:
+    """One-slot memo of the trace(s) the most recent job ran on.
+
+    :func:`run_campaign` owns one per campaign, and each pool worker one
+    for its lifetime.  The previous trace is released *before* the next one
+    is built, so at most one workload is alive; a factory exception
+    propagates (a failed attempt of that job) and leaves the slot empty.
+    Traces are never written after construction, so handing one to several
+    runs cannot change any result.
+    """
+
+    def __init__(self) -> None:
+        self._identity: tuple | None = None
+        self._traces = None
+
+    def traces(self, job: Job):
+        """``job``'s trace (a list of them for multicore jobs)."""
+        identity = job.trace_identity
+        if identity != self._identity:
+            self.clear()
+            self._traces = _build_traces(job)
+            self._identity = identity
+        return self._traces
+
+    def clear(self) -> None:
+        self._identity = self._traces = None
+
+
+def _build_traces(job: Job):
+    return job.build_traces() if job.threads else job.build_trace()
+
+
+#: A pool worker's slot, created by the pool initializer in each worker.
+_worker_slot: TraceSlot | None = None
+
+
+def _init_worker() -> None:
+    global _worker_slot
+    _worker_slot = TraceSlot()
+
+
+def run_job(
+    job: Job, trace_dir: str | None = None, *, slot: TraceSlot | None = None
+):
     """Simulate one job in-process (no cache tiers).
 
     Single-core jobs return a :class:`SimResult`; multicore jobs
@@ -66,26 +117,28 @@ def run_job(job: Job, trace_dir: str | None = None):
     With ``trace_dir`` set, the run is traced and its full event stream is
     written to :func:`job_trace_path` as JSONL — the campaign layer's
     per-job capture.
+
+    With ``slot`` the trace comes from that :class:`TraceSlot` (how
+    :func:`run_campaign` shares one trace between consecutive jobs);
+    without, the job builds its own.
     """
+    trace = slot.traces(job) if slot is not None else _build_traces(job)
     if job.threads:
-        return _run_multicore_job(job, trace_dir)
+        return _run_multicore_job(job, trace, trace_dir)
     if trace_dir is None:
-        return simulate(job.build_trace(), job.config, warmup=job.warmup)
+        return simulate(trace, job.config, warmup=job.warmup)
     from repro.trace import JsonlSink, Tracer
 
     os.makedirs(trace_dir, exist_ok=True)
     tracer = Tracer([JsonlSink(job_trace_path(trace_dir, job))])
     try:
-        return simulate(
-            job.build_trace(), job.config, warmup=job.warmup, tracer=tracer
-        )
+        return simulate(trace, job.config, warmup=job.warmup, tracer=tracer)
     finally:
         tracer.close()
 
 
-def _run_multicore_job(job: Job, trace_dir: str | None = None):
+def _run_multicore_job(job: Job, traces: list, trace_dir: str | None = None):
     """One multicore job: N-thread traces through one coherent system."""
-    traces = job.build_traces()
     if trace_dir is None:
         result = simulate_multicore(traces, job.config)
         return dataclasses.replace(result, pipelines=[])
@@ -103,7 +156,7 @@ def _run_multicore_job(job: Job, trace_dir: str | None = None):
 def _simulate_job(job: Job, trace_dir: str | None = None):
     """Pool worker: run one job and time it (module-level: picklable)."""
     started = time.perf_counter()
-    result = run_job(job, trace_dir)
+    result = run_job(job, trace_dir, slot=_worker_slot)
     return result, time.perf_counter() - started
 
 
@@ -230,13 +283,21 @@ def run_campaign(
         else:
             pending.append(job)
 
+    # Misses run grouped by trace identity, in first-appearance order, so
+    # the trace memo builds each workload once.
+    groups: dict[tuple, list[Job]] = {}
+    for job in pending:
+        groups.setdefault(job.trace_identity, []).append(job)
+    pending = [job for group in groups.values() for job in group]
+    slot = TraceSlot()
+
     # --- serial path ------------------------------------------------------
     def run_serial(serial_jobs: Iterable[Job]) -> None:
         for job in serial_jobs:
             for attempt in range(1, retries + 2):
                 started = time.perf_counter()
                 try:
-                    result = run_job(job, trace_dir)
+                    result = run_job(job, trace_dir, slot=slot)
                 except Exception as exc:  # noqa: BLE001 — jobs may raise anything
                     if attempt <= retries:
                         record(job, RETRY, attempt=attempt, error=str(exc))
@@ -246,49 +307,57 @@ def run_campaign(
                     succeed(job, result, time.perf_counter() - started, attempt)
                     break
 
-    if workers <= 1 or len(pending) <= 1:
-        run_serial(pending)
-        return report
-
     # --- parallel path ----------------------------------------------------
-    remaining: dict[str, Job] = {job.key: job for job in pending}
-    attempts: dict[str, int] = {job.key: 0 for job in pending}
-    while remaining:
-        round_jobs = list(remaining.values())
-        timed_out = False
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(round_jobs)))
-        except _POOL_UNAVAILABLE:
-            run_serial(round_jobs)
-            return report
-        try:
-            futures = {
-                pool.submit(_simulate_job, job, trace_dir): job
-                for job in round_jobs
-            }
-            for future, job in futures.items():
-                attempts[job.key] += 1
-                attempt = attempts[job.key]
-                try:
-                    result, wall = future.result(timeout=timeout)
-                except FuturesTimeoutError:
-                    timed_out = True
-                    future.cancel()
-                    _fail_or_retry(record, remaining, job, attempt, retries,
-                                   f"timed out after {timeout}s")
-                except Exception as exc:  # worker crash or job exception
-                    _fail_or_retry(record, remaining, job, attempt, retries,
-                                   str(exc))
-                else:
-                    remaining.pop(job.key, None)
-                    succeed(job, result, wall, attempt)
-        except _POOL_UNAVAILABLE:
-            pool.shutdown(wait=False, cancel_futures=True)
-            run_serial(list(remaining.values()))
-            return report
-        finally:
-            # A timed-out worker cannot be joined promptly; abandon it.
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
+    def run_parallel(parallel_jobs: list[Job]) -> None:
+        remaining: dict[str, Job] = {job.key: job for job in parallel_jobs}
+        attempts: dict[str, int] = {job.key: 0 for job in parallel_jobs}
+        while remaining:
+            round_jobs = list(remaining.values())
+            timed_out = False
+            try:
+                pool = ProcessPoolExecutor(
+                    max_workers=min(workers, len(round_jobs)),
+                    initializer=_init_worker,
+                )
+            except _POOL_UNAVAILABLE:
+                run_serial(round_jobs)
+                return
+            try:
+                futures = {
+                    pool.submit(_simulate_job, job, trace_dir): job
+                    for job in round_jobs
+                }
+                for future, job in futures.items():
+                    attempts[job.key] += 1
+                    attempt = attempts[job.key]
+                    try:
+                        result, wall = future.result(timeout=timeout)
+                    except FuturesTimeoutError:
+                        timed_out = True
+                        future.cancel()
+                        _fail_or_retry(record, remaining, job, attempt, retries,
+                                       f"timed out after {timeout}s")
+                    except Exception as exc:  # worker crash or job exception
+                        _fail_or_retry(record, remaining, job, attempt, retries,
+                                       str(exc))
+                    else:
+                        remaining.pop(job.key, None)
+                        succeed(job, result, wall, attempt)
+            except _POOL_UNAVAILABLE:
+                pool.shutdown(wait=False, cancel_futures=True)
+                run_serial(list(remaining.values()))
+                return
+            finally:
+                # A timed-out worker cannot be joined promptly; abandon it.
+                pool.shutdown(wait=not timed_out, cancel_futures=True)
+
+    try:
+        if workers <= 1 or len(pending) <= 1:
+            run_serial(pending)
+        else:
+            run_parallel(pending)
+    finally:
+        slot.clear()  # no trace outlives the campaign
     return report
 
 

@@ -74,13 +74,36 @@ class Job:
 
     @property
     def key(self) -> str:
-        """Deterministic content key (shared with :class:`ResultsCache`)."""
+        """Deterministic content key (shared with :class:`ResultsCache`).
+
+        Hashing the config costs a JSON dump, so the key is computed once
+        and memoised on the (frozen) instance.
+        """
+        try:
+            return self.__dict__["_key"]
+        except KeyError:
+            pass
         if self.threads:
-            return multicore_result_key(
+            key = multicore_result_key(
                 self.workload, self.threads, self.length, self.seed, self.config
             )
-        return result_key(
-            self.workload, self.length, self.seed, self.config, self.warmup
+        else:
+            key = result_key(
+                self.workload, self.length, self.seed, self.config, self.warmup
+            )
+        object.__setattr__(self, "_key", key)
+        return key
+
+    @property
+    def trace_identity(self) -> tuple:
+        """What this job's trace(s) depend on: equal identities, equal traces.
+
+        Factories are deterministic in these fields, so jobs that differ
+        only in config (or warm-up) can share one generated trace.
+        """
+        return (
+            self.workload_kind, self.workload, self.length, self.seed,
+            self.threads,
         )
 
     def build_trace(self) -> Trace:

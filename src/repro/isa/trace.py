@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, List, Sequence, TypeVar
 
 from repro.isa.uop import MicroOp, OpKind
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,12 @@ class Trace:
     ``region_of`` mapping from PC to a human-readable code region
     (``memcpy``, ``memset``, ``clear_page``, ``app``...), which Figure 3 of
     the paper breaks stall attribution down by.
+
+    Because a trace never changes after construction, work derived from it
+    alone (the fast engine's per-µop arrays) is memoised on the trace by
+    :meth:`derived`, so every config cell a campaign runs on one trace
+    shares it.  Neither the op list nor any op it hands out may be modified
+    afterwards; a caller that needs different ops builds a new trace.
     """
 
     def __init__(
@@ -49,6 +57,7 @@ class Trace:
         self._ops: List[MicroOp] = list(ops)
         self.name = name
         self._regions = dict(regions or {})
+        self._derived: dict[Hashable, object] = {}
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -58,6 +67,21 @@ class Trace:
 
     def __getitem__(self, index):
         return self._ops[index]
+
+    def derived(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()``, memoised on this trace under ``key``.
+
+        ``compute`` must be a pure function of the trace's contents (and of
+        whatever ``key`` names), and its value must be treated as read-only
+        by every caller: one value is shared by all runs of this trace.  The
+        memo is never invalidated, so it is only correct while no op of the
+        trace is modified; to run different ops, build a new trace.
+        """
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._derived[key] = compute()
+            return value
 
     def region_of(self, pc: int) -> str:
         """Code region a PC belongs to; ``app`` when unannotated."""

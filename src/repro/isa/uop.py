@@ -57,6 +57,11 @@ class MicroOp:
     ignores the annotation.  Either way a mispredict charges the redirect
     penalty and injects wrong-path work sized by the branch's resolution
     latency.
+
+    A µop must not be modified once it is in a :class:`~repro.isa.trace.Trace`:
+    work derived from a trace (the fast engine's per-µop arrays) is cached on
+    it and shared by every run of that trace, so a changed op would make the
+    engines disagree.  To run different ops, build a new trace.
     """
 
     kind: OpKind

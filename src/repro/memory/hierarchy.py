@@ -9,6 +9,7 @@ misses without the hierarchy ticking every cycle.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -76,8 +77,11 @@ class SharedUncore:
             channels=config.dram_channels,
             burst_cycles=config.dram_burst_cycles,
         )
-        self._invalidate_hooks: dict[int, Callable[[int], None]] = {}
-        self._downgrade_hooks: dict[int, Callable[[int], None]] = {}
+        # Weak references: each core's hierarchy holds the uncore, so strong
+        # hooks back to the hierarchy would make every finished run a
+        # reference cycle that only the cyclic garbage collector frees.
+        self._invalidate_hooks: dict[int, weakref.WeakMethod] = {}
+        self._downgrade_hooks: dict[int, weakref.WeakMethod] = {}
 
     def register_core(
         self,
@@ -85,9 +89,13 @@ class SharedUncore:
         invalidate: Callable[[int], None],
         downgrade: Callable[[int], None],
     ) -> None:
-        """Register callbacks for remote invalidations/downgrades."""
-        self._invalidate_hooks[core_id] = invalidate
-        self._downgrade_hooks[core_id] = downgrade
+        """Register callbacks for remote invalidations/downgrades.
+
+        Both must be bound methods; they are held weakly, and a hook whose
+        object is gone is skipped.
+        """
+        self._invalidate_hooks[core_id] = weakref.WeakMethod(invalidate)
+        self._downgrade_hooks[core_id] = weakref.WeakMethod(downgrade)
 
     def fetch(
         self,
@@ -110,14 +118,14 @@ class SharedUncore:
             )
             for victim_core in to_invalidate:
                 hook = self._invalidate_hooks.get(victim_core)
-                if hook is not None:
-                    hook(block)
+                if hook is not None and (callback := hook()) is not None:
+                    callback(block)
         else:
             extra, downgrade_owner = self.directory.handle_gets(core_id, block)
             if downgrade_owner is not None:
                 hook = self._downgrade_hooks.get(downgrade_owner)
-                if hook is not None:
-                    hook(block)
+                if hook is not None and (callback := hook()) is not None:
+                    callback(block)
         if state is not None:
             return self._l3_latency + extra, "L3"
         # Miss in L3: fetch from memory through the L3 MSHRs and a
@@ -134,7 +142,8 @@ class SharedUncore:
             victim_block, _ = victim
             # Inclusive L3: back-invalidate every private copy.
             for hook in self._invalidate_hooks.values():
-                hook(victim_block)
+                if (callback := hook()) is not None:
+                    callback(victim_block)
 
     def grant_state(self, core_id: int, block: int, want_write: bool) -> MESIState:
         """Stable state the requesting private cache should install."""

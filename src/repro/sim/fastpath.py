@@ -21,10 +21,11 @@ Where the speed comes from
 
 * **Precomputed µop arrays.**  ``MicroOp`` property calls (``is_load``,
   ``latency``) and the per-access ``addr // block_bytes`` division are
-  folded into flat per-index lists at construction: kind codes, cache-block
-  numbers, execution latencies, dependency distances, PCs and branch
-  annotations.  The hot loop reads plain list slots instead of touching µop
-  objects at all.
+  folded into flat per-index lists (:func:`uop_arrays`): kind codes,
+  cache-block numbers, execution latencies, dependency distances, PCs and
+  branch annotations.  The hot loop reads plain list slots instead of
+  touching µop objects at all, and the lists are cached on the trace, so
+  every config cell run on one trace shares a single set.
 
 * **Inlined store-buffer fast path.**  The pipeline's SB is always
   constructed unbounded (capacity is enforced at dispatch), so the push /
@@ -50,11 +51,50 @@ from collections import deque
 
 from repro.core.store_buffer import StoreBufferEntry
 from repro.cpu.pipeline import Pipeline
+from repro.isa.trace import Trace
 from repro.isa.uop import OP_LATENCIES, OpKind
 
 #: Kind codes used by the precomputed arrays (index = code).
 _ALU, _LOAD, _STORE, _BRANCH = 0, 1, 2, 3
 _TAGS = ("alu", "load", "store", "branch")
+
+
+def _flatten(ops, block_bytes: int) -> tuple[list, ...]:
+    """The per-µop arrays of ``ops``, in :func:`uop_arrays` order."""
+    # One comprehension per array keeps the precompute in C-loop
+    # territory; a 10k-µop trace costs ~2 ms to flatten.
+    code = {k: _ALU for k in OpKind}
+    code[OpKind.LOAD] = _LOAD
+    code[OpKind.STORE] = _STORE
+    code[OpKind.BRANCH] = _BRANCH
+    op_kinds = [op.kind for op in ops]
+    addrs = [op.addr for op in ops]
+    return (
+        [code[k] for k in op_kinds],
+        [OP_LATENCIES[k] for k in op_kinds],
+        addrs,
+        [addr // block_bytes for addr in addrs],
+        [op.dep_distance for op in ops],
+        [op.pc for op in ops],
+        [op.size for op in ops],
+        [op.mispredicted for op in ops],
+        [op.taken for op in ops],
+    )
+
+
+def uop_arrays(trace: Trace, block_bytes: int) -> tuple[list, ...]:
+    """Flat per-µop arrays of ``trace`` for ``block_bytes``-byte blocks.
+
+    Returns ``(kinds, latencies, addrs, blocks, deps, pcs, sizes,
+    mispredicted, taken)``.  They are computed once per ``(trace,
+    block_bytes)`` and cached on the trace, so every cell of a sweep that
+    reuses the trace shares one set; the pipelines and the multicore
+    scheduler only read them.
+    """
+    return trace.derived(
+        ("fastpath.uop_arrays", block_bytes),
+        lambda: _flatten(trace, block_bytes),
+    )
 
 
 class FastPipeline(Pipeline):
@@ -67,24 +107,11 @@ class FastPipeline(Pipeline):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        ops = self._ops
-        block_bytes = self.block_bytes
-        # One comprehension per array keeps the precompute in C-loop
-        # territory; a 10k-µop trace costs ~2 ms to flatten.
-        code = {k: _ALU for k in OpKind}
-        code[OpKind.LOAD] = _LOAD
-        code[OpKind.STORE] = _STORE
-        code[OpKind.BRANCH] = _BRANCH
-        op_kinds = [op.kind for op in ops]
-        self._fp_kinds = [code[k] for k in op_kinds]
-        self._fp_lats = [OP_LATENCIES[k] for k in op_kinds]
-        self._fp_addrs = [op.addr for op in ops]
-        self._fp_blocks = [addr // block_bytes for addr in self._fp_addrs]
-        self._fp_deps = [op.dep_distance for op in ops]
-        self._fp_pcs = [op.pc for op in ops]
-        self._fp_sizes = [op.size for op in ops]
-        self._fp_mispreds = [op.mispredicted for op in ops]
-        self._fp_takens = [op.taken for op in ops]
+        (
+            self._fp_kinds, self._fp_lats, self._fp_addrs, self._fp_blocks,
+            self._fp_deps, self._fp_pcs, self._fp_sizes, self._fp_mispreds,
+            self._fp_takens,
+        ) = uop_arrays(self.trace, self.block_bytes)
 
     def run(self, max_cycles: int = 500_000_000):  # noqa: C901 — one hot loop
         """Run to completion; semantics transcribed from the reference loop."""

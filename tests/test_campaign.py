@@ -8,10 +8,12 @@ run, plus the manifest/CLI/telemetry surface.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -301,6 +303,100 @@ class TestRetries:
         assert outcome.attempts == 2
         assert "boom" in outcome.error
         assert report.get(job) is None
+
+
+class TestTraceReuse:
+    """A campaign builds each workload trace once, shared by its cells."""
+
+    APPS = ("gcc", "bwaves", "x264")
+
+    @staticmethod
+    def counting_factory(kind, calls, built=None, crash_first=False):
+        def counting(name, length=0, seed=1):
+            calls.append(name)
+            if crash_first and len(calls) == 1:
+                raise RuntimeError("injected generation crash")
+            trace = spec2017(name, length=length, seed=seed)
+            if built is not None:
+                built.append(weakref.ref(trace))
+            return trace
+
+        register_workload(kind, counting)
+        return kind
+
+    def jobs(self, kind):
+        campaign = Campaign.matrix(
+            self.APPS, policies=["at-commit", "spb"], sb_sizes=[14, 56],
+            length=LENGTH, workload_kind=kind,
+        )
+        # An extra gcc cell after the x264 ones, as benchmarks append their
+        # Ideal cells after the policy x SB matrix.
+        extra = Job(
+            workload="gcc", length=LENGTH, workload_kind=kind,
+            config=SystemConfig.skylake(sb_entries=1024, store_prefetch="ideal"),
+        )
+        return campaign.jobs + [extra]
+
+    def test_one_generation_per_trace(self):
+        calls = []
+        jobs = self.jobs(self.counting_factory("count-reuse", calls))
+        report = run_campaign(jobs, max_workers=1)
+        assert report.ok and report.telemetry.simulated == len(jobs)
+        assert sorted(calls) == sorted(self.APPS)
+
+    def test_results_equal_per_job_runs(self):
+        calls = []
+        jobs = self.jobs(self.counting_factory("count-equal", calls))
+        report = run_campaign(jobs, max_workers=1)
+        for job in jobs:
+            assert report.get(job) == run_job(job)  # field for field
+        assert len(calls) == len(self.APPS) + len(jobs)
+
+    def test_outcomes_follow_grouped_execution_order(self):
+        jobs = self.jobs(self.counting_factory("count-order", []))
+        report = run_campaign(jobs, max_workers=1)
+        order = [outcome.job.workload for outcome in report.outcomes]
+        assert order == ["gcc"] * 5 + ["bwaves"] * 4 + ["x264"] * 4
+
+    def test_no_trace_outlives_the_campaign(self):
+        built = []
+        jobs = self.jobs(self.counting_factory("count-weak", [], built))
+        run_campaign(jobs, max_workers=1)
+        assert len(built) == len(self.APPS)
+        assert all(ref() is None for ref in built)
+
+    def test_generation_crash_is_retried(self):
+        calls = []
+        jobs = self.jobs(
+            self.counting_factory("count-crash", calls, crash_first=True)
+        )
+        events = []
+        report = run_campaign(jobs, max_workers=1, retries=1,
+                              progress=events.append)
+        assert report.ok
+        first = [e.status for e in events if e.job_key == jobs[0].key]
+        assert first == [RETRY, SIMULATED]
+        assert report.telemetry.retries == 1
+        assert len(calls) == len(self.APPS) + 1
+
+    def test_no_reuse_outside_a_campaign(self):
+        calls = []
+        job = small_job(workload_kind=self.counting_factory("count-solo", calls))
+        execute_job(job)
+        execute_job(dataclasses.replace(job, config=job.config.with_sb(56)))
+        assert calls == ["gcc", "gcc"]
+
+    def test_key_computed_once(self, monkeypatch):
+        from repro.campaign import job as job_module
+
+        job = small_job()
+        first = job.key
+        monkeypatch.setattr(
+            job_module, "result_key",
+            lambda *args, **kwargs: pytest.fail("key recomputed"),
+        )
+        assert job.key == first
+        assert small_job() == job  # the memo is not a field
 
 
 class TestExecuteJob:

@@ -241,3 +241,56 @@ class TestEngineSelection:
         )
         assert ref.cycles == fast.cycles
         assert ref.pipeline == fast.pipeline
+
+
+class TestSharedTraceWork:
+    def test_fast_arrays_computed_once_per_trace(self):
+        from repro.sim.fastpath import uop_arrays
+
+        trace = spec2017("bwaves", length=2_000)
+        config = SystemConfig.skylake(sb_entries=14, engine="fast")
+        first = simulate(trace, config)
+        arrays = uop_arrays(trace, config.caches.block_bytes)
+        second = simulate(trace, config.with_policy("spb"))
+        assert uop_arrays(trace, config.caches.block_bytes) is arrays
+        assert uop_arrays(trace, 2 * config.caches.block_bytes) is not arrays
+        # Shared arrays are read-only: re-running the first cell on them
+        # reproduces it exactly.
+        assert simulate(trace, config) == first
+        assert second != first
+
+
+class TestNoReferenceCycles:
+    """A finished run must be freed by reference counting alone.
+
+    The uncore holds its cores' coherence hooks; held strongly, every run
+    would leave its hierarchies in a cycle that only the cyclic garbage
+    collector frees, and dead hierarchies pile up between collections.
+    """
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_simulate(self, engine):
+        import gc
+
+        trace = spec2017("bwaves", length=2_000)
+        config = SystemConfig.skylake(
+            sb_entries=14, store_prefetch="spb", engine=engine
+        )
+        gc.collect()
+        simulate(trace, config)
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_simulate_multicore(self, engine):
+        import gc
+
+        from repro import parsec
+        from repro.sim.runner import simulate_multicore
+
+        traces = parsec("dedup", threads=4, length=1_500)
+        config = SystemConfig.skylake(
+            sb_entries=14, store_prefetch="spb", num_cores=4, engine=engine
+        )
+        gc.collect()
+        simulate_multicore(traces, config)
+        assert gc.collect() == 0

@@ -1,5 +1,7 @@
 """Tests for trace generation and the SPEC/PARSEC workload tables."""
 
+import hashlib
+
 import pytest
 
 from repro.workloads import (
@@ -153,6 +155,34 @@ class TestParsecTable:
     def test_rejects_zero_threads(self):
         with pytest.raises(ValueError):
             parsec("dedup", threads=0)
+
+    #: sha256 of ``parsec(app, threads=8, length=8_000, seed=3)`` as hashed
+    #: by :meth:`_digest`, recorded before the private-region shift stopped
+    #: going through ``dataclasses.replace``: generation must not change.
+    PINNED_DIGESTS = {
+        "dedup": "c3057921321165e7e9e0b8d4c0ce6372fc280b78760ca01fa07cec6751d11c4f",
+        "x264": "bd1e45dbc1a06656a601c5a2c42175de133056e710cb4c47e36e1a76aacf608f",
+        "canneal": "7ebad602961e44f4fada496c69d9db92502bf98b303df53d56c6e54c22c6b7bf",
+        "swaptions": "3821e55fbdb837dbc8996f89162a4b6deda38f31f3f47bc20ba4ac93e2f047d0",
+        "bodytrack": "443196757b211f6149b0a0bbf47b63077ccb0517c751cd8b6904f822be86ecbe",
+    }
+
+    @staticmethod
+    def _digest(traces) -> str:
+        digest = hashlib.sha256()
+        for trace in traces:
+            digest.update(repr((trace.name, sorted(trace.regions.items()))).encode())
+            for op in trace:
+                digest.update(repr((
+                    int(op.kind), op.pc, op.addr, op.size, op.dep_distance,
+                    op.mispredicted, op.taken,
+                )).encode())
+        return digest.hexdigest()
+
+    @pytest.mark.parametrize("app", sorted(PINNED_DIGESTS))
+    def test_per_thread_traces_pinned(self, app):
+        traces = parsec(app, threads=8, length=8_000, seed=3)
+        assert self._digest(traces) == self.PINNED_DIGESTS[app]
 
     @pytest.mark.parametrize("app", sorted(PARSEC_APPS))
     def test_every_app_builds(self, app):
