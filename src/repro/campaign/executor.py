@@ -13,14 +13,22 @@ Cache misses run grouped by trace identity (workload kind, name, length,
 seed, threads) in first-appearance order, and a one-slot memo
 (:class:`TraceSlot`) hands every job of a group the trace(s) its first job
 generated: a sweep of N configs over one workload builds the workload
-once, not N times.  The memo holds at most one workload at a time and is
-emptied when :func:`run_campaign` returns; pool workers keep one each for
-their lifetime.  Outside a campaign every job builds its own trace.
+once, not N times.  Within a group, cells with the same
+:func:`~repro.sim.prefix.prefix_key` run back to back and share their
+pre-store prefix: the first simulates it and leaves a snapshot in the
+slot, the rest fork from it (:mod:`repro.sim.prefix`).  The first cell's
+``wall_time`` therefore carries the prefix.  The memo holds at most one
+workload and one snapshot at a time and is emptied when
+:func:`run_campaign` returns; pool workers keep one each for their
+lifetime.  Outside a campaign every job builds its own trace.
 
-Per-job ``timeout`` (seconds) applies to pool execution only: a job whose
-result does not arrive in time counts as a failed attempt.  The worker
-process itself cannot be interrupted mid-simulation, so the pool is shut
-down without waiting in that case.
+The pool runs one future per trace group, so each group's trace is built
+once whatever the worker count.  A failed job retries alone in the next
+round.  Per-job ``timeout`` (seconds) applies to pool execution only: a
+group whose results do not arrive within ``timeout`` times its job count
+fails every job it has not answered, as one failed attempt each.  The
+worker process itself cannot be interrupted mid-simulation, so the pool is
+shut down without waiting in that case.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from repro.campaign.progress import (
     ProgressCallback,
 )
 from repro.campaign.store import ResultStore
+from repro.sim.prefix import PrefixSlot, can_fork, fork_order, prefix_key
 from repro.sim.runner import ResultsCache, simulate, simulate_multicore
 from repro.stats.result import SimResult
 
@@ -71,11 +80,16 @@ class TraceSlot:
     propagates (a failed attempt of that job) and leaves the slot empty.
     Traces are never written after construction, so handing one to several
     runs cannot change any result.
+
+    :attr:`prefix` holds the current trace's pre-store snapshot, if any;
+    the executor sets its ``followers`` before each run, and a new trace
+    releases it.
     """
 
     def __init__(self) -> None:
         self._identity: tuple | None = None
         self._traces = None
+        self.prefix = PrefixSlot()
 
     def traces(self, job: Job):
         """``job``'s trace (a list of them for multicore jobs)."""
@@ -88,6 +102,7 @@ class TraceSlot:
 
     def clear(self) -> None:
         self._identity = self._traces = None
+        self.prefix.clear()
 
 
 def _build_traces(job: Job):
@@ -101,6 +116,24 @@ _worker_slot: TraceSlot | None = None
 def _init_worker() -> None:
     global _worker_slot
     _worker_slot = TraceSlot()
+
+
+def fork_plan(group: list[Job]) -> list[tuple[Job, int]]:
+    """One trace group's run order, with each job's prefix followers.
+
+    Jobs that can share a prefix run back to back
+    (:func:`~repro.sim.prefix.fork_order`); each is paired with the number
+    of later jobs that will fork from its prefix.  Warmed-up,
+    reference-engine and multicore jobs never fork and get 0; traced runs
+    ignore the prefix slot altogether.
+    """
+    keys = [
+        prefix_key(job.config)
+        if not job.threads and can_fork(job.config, job.warmup)
+        else None
+        for job in group
+    ]
+    return [(group[index], followers) for index, followers in fork_order(keys)]
 
 
 def run_job(
@@ -118,15 +151,17 @@ def run_job(
     written to :func:`job_trace_path` as JSONL — the campaign layer's
     per-job capture.
 
-    With ``slot`` the trace comes from that :class:`TraceSlot` (how
-    :func:`run_campaign` shares one trace between consecutive jobs);
-    without, the job builds its own.
+    With ``slot`` the trace comes from that :class:`TraceSlot`, and an
+    untraced run shares its prefix through ``slot.prefix`` (how
+    :func:`run_campaign` shares work between consecutive jobs); without,
+    the job builds its own trace and runs alone.
     """
     trace = slot.traces(job) if slot is not None else _build_traces(job)
     if job.threads:
         return _run_multicore_job(job, trace, trace_dir)
     if trace_dir is None:
-        return simulate(trace, job.config, warmup=job.warmup)
+        prefix = slot.prefix if slot is not None else None
+        return simulate(trace, job.config, warmup=job.warmup, prefix=prefix)
     from repro.trace import JsonlSink, Tracer
 
     os.makedirs(trace_dir, exist_ok=True)
@@ -153,11 +188,39 @@ def _run_multicore_job(job: Job, traces: list, trace_dir: str | None = None):
         tracer.close()
 
 
-def _simulate_job(job: Job, trace_dir: str | None = None):
-    """Pool worker: run one job and time it (module-level: picklable)."""
+def _run_planned(
+    slot: TraceSlot, job: Job, followers: int, trace_dir: str | None
+):
+    """One job of a :func:`fork_plan` through ``slot``; ``(result, wall)``."""
+    slot.prefix.followers = followers
     started = time.perf_counter()
-    result = run_job(job, trace_dir, slot=_worker_slot)
+    result = run_job(job, trace_dir, slot=slot)
     return result, time.perf_counter() - started
+
+
+def _simulate_group(plan: list[tuple[Job, int]], trace_dir: str | None = None):
+    """Pool worker: run one trace group's jobs (module-level: picklable).
+
+    Returns ``(answers, prefix_runs, fork_seconds)``: one ``(result, error,
+    wall)`` per job, with ``error`` the exception text of a failed job, and
+    this group's share of the worker slot's prefix counters.
+    """
+    slot = _worker_slot
+    prefix_runs = slot.prefix.prefix_runs
+    forks = slot.prefix.forks
+    answers = []
+    for job, followers in plan:
+        try:
+            result, wall = _run_planned(slot, job, followers, trace_dir)
+        except Exception as exc:  # noqa: BLE001 — jobs may raise anything
+            answers.append((None, str(exc), 0.0))
+        else:
+            answers.append((result, None, wall))
+    return (
+        answers,
+        slot.prefix.prefix_runs - prefix_runs,
+        slot.prefix.fork_seconds[forks:],
+    )
 
 
 def execute_job(
@@ -284,81 +347,106 @@ def run_campaign(
             pending.append(job)
 
     # Misses run grouped by trace identity, in first-appearance order, so
-    # the trace memo builds each workload once.
-    groups: dict[tuple, list[Job]] = {}
-    for job in pending:
-        groups.setdefault(job.trace_identity, []).append(job)
-    pending = [job for group in groups.values() for job in group]
+    # the trace memo builds each workload once; within a group, cells that
+    # share a prefix run back to back.
+    groups = _by_trace(pending)
     slot = TraceSlot()
 
+    def count_prefixes(prefix_runs: int, fork_seconds: list[float]) -> None:
+        telemetry.prefix_runs += prefix_runs
+        telemetry.fork_seconds += fork_seconds
+
     # --- serial path ------------------------------------------------------
-    def run_serial(serial_jobs: Iterable[Job]) -> None:
-        for job in serial_jobs:
-            for attempt in range(1, retries + 2):
-                started = time.perf_counter()
-                try:
-                    result = run_job(job, trace_dir, slot=slot)
-                except Exception as exc:  # noqa: BLE001 — jobs may raise anything
-                    if attempt <= retries:
-                        record(job, RETRY, attempt=attempt, error=str(exc))
+    def run_serial(serial_groups: Iterable[list[Job]]) -> None:
+        prefix = slot.prefix
+        prefix_runs, forks = prefix.prefix_runs, prefix.forks
+        for group in serial_groups:
+            for job, followers in fork_plan(group):
+                for attempt in range(1, retries + 2):
+                    try:
+                        result, wall = _run_planned(slot, job, followers, trace_dir)
+                    except Exception as exc:  # noqa: BLE001 — jobs may raise anything
+                        if attempt <= retries:
+                            record(job, RETRY, attempt=attempt, error=str(exc))
+                        else:
+                            record(job, FAILED, attempt=attempt, error=str(exc))
                     else:
-                        record(job, FAILED, attempt=attempt, error=str(exc))
-                else:
-                    succeed(job, result, time.perf_counter() - started, attempt)
-                    break
+                        succeed(job, result, wall, attempt)
+                        break
+        count_prefixes(
+            prefix.prefix_runs - prefix_runs, prefix.fork_seconds[forks:]
+        )
 
     # --- parallel path ----------------------------------------------------
-    def run_parallel(parallel_jobs: list[Job]) -> None:
-        remaining: dict[str, Job] = {job.key: job for job in parallel_jobs}
-        attempts: dict[str, int] = {job.key: 0 for job in parallel_jobs}
+    def run_parallel(parallel_groups: list[list[Job]]) -> None:
+        remaining: dict[str, Job] = {
+            job.key: job for group in parallel_groups for job in group
+        }
+        attempts: dict[str, int] = {job.key: 0 for job in remaining.values()}
         while remaining:
-            round_jobs = list(remaining.values())
+            round_groups = _by_trace(remaining.values())
             timed_out = False
             try:
                 pool = ProcessPoolExecutor(
-                    max_workers=min(workers, len(round_jobs)),
+                    max_workers=min(workers, len(round_groups)),
                     initializer=_init_worker,
                 )
             except _POOL_UNAVAILABLE:
-                run_serial(round_jobs)
+                run_serial(round_groups)
                 return
             try:
-                futures = {
-                    pool.submit(_simulate_job, job, trace_dir): job
-                    for job in round_jobs
-                }
-                for future, job in futures.items():
-                    attempts[job.key] += 1
-                    attempt = attempts[job.key]
+                futures = {}
+                for group in round_groups:
+                    plan = fork_plan(group)
+                    futures[pool.submit(_simulate_group, plan, trace_dir)] = plan
+                for future, plan in futures.items():
+                    for job, _ in plan:
+                        attempts[job.key] += 1
                     try:
-                        result, wall = future.result(timeout=timeout)
+                        answers, prefix_runs, fork_seconds = future.result(
+                            timeout=None if timeout is None else timeout * len(plan)
+                        )
                     except FuturesTimeoutError:
                         timed_out = True
                         future.cancel()
-                        _fail_or_retry(record, remaining, job, attempt, retries,
-                                       f"timed out after {timeout}s")
-                    except Exception as exc:  # worker crash or job exception
-                        _fail_or_retry(record, remaining, job, attempt, retries,
-                                       str(exc))
+                        answers = [
+                            (None, f"timed out after {timeout}s", 0.0)
+                        ] * len(plan)
+                    except Exception as exc:  # worker crash
+                        answers = [(None, str(exc), 0.0)] * len(plan)
                     else:
-                        remaining.pop(job.key, None)
-                        succeed(job, result, wall, attempt)
+                        count_prefixes(prefix_runs, fork_seconds)
+                    for (job, _), (result, error, wall) in zip(plan, answers):
+                        if error is None:
+                            remaining.pop(job.key, None)
+                            succeed(job, result, wall, attempts[job.key])
+                        else:
+                            _fail_or_retry(record, remaining, job,
+                                           attempts[job.key], retries, error)
             except _POOL_UNAVAILABLE:
                 pool.shutdown(wait=False, cancel_futures=True)
-                run_serial(list(remaining.values()))
+                run_serial(_by_trace(remaining.values()))
                 return
             finally:
                 # A timed-out worker cannot be joined promptly; abandon it.
                 pool.shutdown(wait=not timed_out, cancel_futures=True)
 
     try:
-        if workers <= 1 or len(pending) <= 1:
-            run_serial(pending)
+        if workers <= 1 or len(groups) <= 1:
+            run_serial(groups)
         else:
-            run_parallel(pending)
+            run_parallel(groups)
     finally:
-        slot.clear()  # no trace outlives the campaign
+        slot.clear()  # no trace or snapshot outlives the campaign
     return report
+
+
+def _by_trace(jobs: Iterable[Job]) -> list[list[Job]]:
+    """``jobs`` grouped by trace identity, in first-appearance order."""
+    groups: dict[tuple, list[Job]] = {}
+    for job in jobs:
+        groups.setdefault(job.trace_identity, []).append(job)
+    return list(groups.values())
 
 
 def _fail_or_retry(record, remaining: dict[str, Job], job: Job, attempt: int,

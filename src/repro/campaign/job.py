@@ -85,11 +85,13 @@ class Job:
             pass
         if self.threads:
             key = multicore_result_key(
-                self.workload, self.threads, self.length, self.seed, self.config
+                self.workload, self.threads, self.length, self.seed, self.config,
+                self.workload_kind,
             )
         else:
             key = result_key(
-                self.workload, self.length, self.seed, self.config, self.warmup
+                self.workload, self.length, self.seed, self.config, self.warmup,
+                self.workload_kind,
             )
         object.__setattr__(self, "_key", key)
         return key

@@ -61,12 +61,19 @@ class CampaignTelemetry:
     failures: int = 0
     traces_captured: int = 0  # jobs whose event stream was written to disk
     sim_wall_time: float = 0.0  # summed per-job simulation seconds
+    prefix_runs: int = 0  # shared pre-store prefixes simulated
+    fork_seconds: list[float] = field(default_factory=list)  # per snapshot copy
     _clock: Callable[[], float] = field(default=time.monotonic, repr=False)
     _started_at: float | None = field(default=None, repr=False)
 
     def start(self, total: int) -> None:
         self.total = total
         self._started_at = self._clock()
+
+    @property
+    def forks(self) -> int:
+        """Snapshot copies made to fork cells from a shared prefix."""
+        return len(self.fork_seconds)
 
     @property
     def cache_hits(self) -> int:
@@ -139,6 +146,9 @@ class CampaignTelemetry:
             "elapsed_s": round(self.elapsed, 3),
             "jobs_per_sec": round(self.jobs_per_sec, 3),
             "sim_wall_time_s": round(self.sim_wall_time, 3),
+            "prefix_runs": self.prefix_runs,
+            "forks": self.forks,
+            "fork_s": round(sum(self.fork_seconds), 3),
         }
 
 

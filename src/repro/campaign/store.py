@@ -30,11 +30,12 @@ from repro.memory.hierarchy import TrafficStats
 from repro.memory.mshr import MSHRStats
 from repro.multicore.system import MulticoreResult
 from repro.prefetch.stats import PrefetchOutcomes
+from repro.sim.runner import run_key
 from repro.stats.counters import PipelineStats, StallBreakdown
 from repro.stats.result import SimResult
 from repro.stats.topdown import TopDownMetrics
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: result keys name the workload kind
 
 #: Result roots the store accepts (single-core and multicore runs).
 _RESULT_ROOTS = (SimResult, MulticoreResult)
@@ -61,18 +62,19 @@ _TYPES: dict[str, type] = {
 
 
 def multicore_result_key(
-    name: str, threads: int, length: int, seed: int, config
+    name: str, threads: int, length: int, seed: int, config,
+    kind: str = "parsec",
 ) -> str:
     """Canonical content key of one multicore run.
 
-    The multicore analogue of :func:`repro.sim.runner.result_key`: PARSEC
-    traces are deterministic functions of (name, threads, per-thread length,
-    seed), so together with ``config.cache_key()`` the string identifies the
-    run completely.  Multicore runs have no warm-up phase, hence no ``w``
-    component; the ``T`` component keeps multicore keys disjoint from
-    single-core ones.
+    The multicore analogue of :func:`repro.sim.runner.result_key`: traces
+    are deterministic functions of the factory ``kind`` and (name, threads,
+    per-thread length, seed), so together with ``config.cache_key()`` the
+    string identifies the run completely.  Multicore runs have no warm-up
+    phase, hence no ``w`` component; the ``T`` component keeps multicore
+    keys disjoint from single-core ones.
     """
-    return f"{name}-T{threads}-L{length}-s{seed}-{config.cache_key()}"
+    return run_key(kind, name, f"T{threads}-L{length}-s{seed}", config)
 
 
 class ResultCodecError(ValueError):
@@ -201,6 +203,9 @@ class ResultStore:
                 raise ResultCodecError(
                     f"schema {payload.get('schema')!r} != {self.schema_version}"
                 )
+            if payload.get("key") != key:
+                # Distinct keys can share a file name (see _safe_name).
+                raise ResultCodecError(f"file holds key {payload.get('key')!r}")
             result = _decode(payload["result"])
             if not isinstance(result, _RESULT_ROOTS):
                 raise ResultCodecError("payload did not decode to a result")

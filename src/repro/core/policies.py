@@ -174,6 +174,21 @@ class IdealStorePrefetch(AtCommitPrefetch):
     unbounded_sb = True
 
 
+#: Policy -> engine class.
+_ENGINE_CLASSES: dict[StorePrefetchPolicy, type[StorePrefetchEngine]] = {
+    StorePrefetchPolicy.NONE: NoStorePrefetch,
+    StorePrefetchPolicy.AT_EXECUTE: AtExecutePrefetch,
+    StorePrefetchPolicy.AT_COMMIT: AtCommitPrefetch,
+    StorePrefetchPolicy.SPB: SpbPrefetch,
+    StorePrefetchPolicy.IDEAL: IdealStorePrefetch,
+}
+
+
+def engine_class(policy: StorePrefetchPolicy | str) -> type[StorePrefetchEngine]:
+    """The engine class implementing ``policy``."""
+    return _ENGINE_CLASSES[StorePrefetchPolicy(policy)]
+
+
 def build_store_prefetch_engine(
     policy: StorePrefetchPolicy | str,
     hierarchy: MemoryHierarchy,
@@ -181,15 +196,7 @@ def build_store_prefetch_engine(
     tracer=None,
 ) -> StorePrefetchEngine:
     """Instantiate the engine for a policy, wired to ``hierarchy``."""
-    policy = StorePrefetchPolicy(policy)
-    if policy == StorePrefetchPolicy.NONE:
-        return NoStorePrefetch(hierarchy, tracer=tracer)
-    if policy == StorePrefetchPolicy.AT_EXECUTE:
-        return AtExecutePrefetch(hierarchy, tracer=tracer)
-    if policy == StorePrefetchPolicy.AT_COMMIT:
-        return AtCommitPrefetch(hierarchy, tracer=tracer)
-    if policy == StorePrefetchPolicy.SPB:
+    cls = engine_class(policy)
+    if cls is SpbPrefetch:
         return SpbPrefetch(hierarchy, spb_config, tracer=tracer)
-    if policy == StorePrefetchPolicy.IDEAL:
-        return IdealStorePrefetch(hierarchy, tracer=tracer)
-    raise ValueError(f"unknown store prefetch policy: {policy}")
+    return cls(hierarchy, tracer=tracer)

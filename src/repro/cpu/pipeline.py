@@ -32,6 +32,7 @@ simulate without changing any counted quantity.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import random
 from collections import deque
@@ -64,6 +65,11 @@ def _op_class(op) -> str:
 
 class Pipeline:
     """One hardware thread's view of the core."""
+
+    #: Attributes a copy shares with its original: run inputs no run writes.
+    _SHARED_ON_COPY = frozenset(("config", "trace", "_ops", "tracer"))
+    #: Containers of immutable values, which a flat copy duplicates.
+    _FLAT_ON_COPY = frozenset(("_ready", "_rob", "_iq_release", "_sq_blocks"))
 
     def __init__(
         self,
@@ -120,6 +126,33 @@ class Pipeline:
         self.cycle = start_cycle
         self._fetch_resume = start_cycle
         self.stats = PipelineStats()
+
+    def __deepcopy__(self, memo: dict) -> "Pipeline":
+        """Independent copy of a paused run, for forking it.
+
+        Run inputs (:attr:`_SHARED_ON_COPY`) are shared, and the per-µop
+        queues (:attr:`_FLAT_ON_COPY`) hold only ints and immutable
+        ``(index, op)`` tuples, so flat copies suffice.  Everything else
+        (hierarchy, engine, store buffer, predictor, statistics) is
+        deep-copied through ``memo``, which keeps the references between
+        them (the engine's hierarchy, the hierarchy's prefetch tracker)
+        pointing into the copy.
+        """
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        shared, flat = self._SHARED_ON_COPY, self._FLAT_ON_COPY
+        for name, value in self.__dict__.items():
+            if name in flat:
+                value = value.copy()
+            elif name == "_rng":
+                # Through its state tuple: deepcopy would copy 625 ints one
+                # by one.
+                value = random.Random()
+                value.setstate(self._rng.getstate())
+            elif name not in shared:
+                value = copy.deepcopy(value, memo)
+            clone.__dict__[name] = value
+        return clone
 
     # ------------------------------------------------------------------
     # Per-cycle phases

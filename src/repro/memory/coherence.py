@@ -9,6 +9,7 @@ in-flight bookkeeping.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 
@@ -61,6 +62,19 @@ class Directory:
         self.remote_hop_latency = remote_hop_latency
         self._entries: dict[int, _DirEntry] = {}
         self.stats = DirectoryStats()
+
+    def __deepcopy__(self, memo: dict) -> "Directory":
+        """Independent copy of the sharing metadata and counters."""
+        clone = object.__new__(Directory)
+        memo[id(self)] = clone
+        clone.num_cores = self.num_cores
+        clone.remote_hop_latency = self.remote_hop_latency
+        clone._entries = {
+            block: _DirEntry(entry.owner, set(entry.sharers))
+            for block, entry in self._entries.items()
+        }
+        clone.stats = copy.copy(self.stats)  # flat int counters
+        return clone
 
     def _entry(self, block: int) -> _DirEntry:
         entry = self._entries.get(block)

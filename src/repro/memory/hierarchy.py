@@ -9,6 +9,7 @@ misses without the hierarchy ticking every cycle.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -82,6 +83,22 @@ class SharedUncore:
         # reference cycle that only the cyclic garbage collector frees.
         self._invalidate_hooks: dict[int, weakref.WeakMethod] = {}
         self._downgrade_hooks: dict[int, weakref.WeakMethod] = {}
+
+    def __deepcopy__(self, memo: dict) -> "SharedUncore":
+        """Independent copy of the shared state, without any core hooks.
+
+        Hooks are bound to the hierarchies that registered them; a copied
+        :class:`MemoryHierarchy` registers its own on the copied uncore.
+        """
+        clone = object.__new__(SharedUncore)
+        memo[id(self)] = clone
+        for name, value in self.__dict__.items():
+            if name in ("_invalidate_hooks", "_downgrade_hooks"):
+                value = {}
+            elif name != "config":
+                value = copy.deepcopy(value, memo)
+            clone.__dict__[name] = value
+        return clone
 
     def register_core(
         self,
@@ -187,6 +204,24 @@ class MemoryHierarchy:
         self.prefetch_tracker = None  # attached by the store-prefetch engine
         self._inflight_write: set[int] = set()  # blocks with ownership in flight
         self.uncore.register_core(core_id, self._remote_invalidate, self._remote_downgrade)
+
+    def __deepcopy__(self, memo: dict) -> "MemoryHierarchy":
+        """Independent copy of this core's slice and its uncore.
+
+        The config and tracer are shared; the copy registers its own
+        coherence hooks on the (copied) uncore, which is how a forked
+        single-core run gets a machine of its own.
+        """
+        clone = object.__new__(MemoryHierarchy)
+        memo[id(self)] = clone
+        for name, value in self.__dict__.items():
+            if name not in ("config", "tracer"):
+                value = copy.deepcopy(value, memo)
+            clone.__dict__[name] = value
+        clone.uncore.register_core(
+            clone.core_id, clone._remote_invalidate, clone._remote_downgrade
+        )
+        return clone
 
     # ------------------------------------------------------------------
     # Coherence callbacks from the uncore

@@ -17,6 +17,7 @@ Demand requests have priority over prefetches, as in real L1 controllers:
 
 from __future__ import annotations
 
+import copy
 import heapq
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -55,6 +56,22 @@ class MSHRFile:
         self.stats = MSHRStats()
         self.tracer = tracer
         self.core = core
+
+    def __deepcopy__(self, memo: dict) -> "MSHRFile":
+        """Independent copy of the in-flight state (the tracer is shared)."""
+        clone = object.__new__(MSHRFile)
+        memo[id(self)] = clone
+        clone.capacity = self.capacity
+        clone._demand = self._demand.copy()
+        clone._prefetch = self._prefetch.copy()
+        clone._by_block = {
+            block: _Entry(entry.completion, entry.start, entry.service, entry.prefetch)
+            for block, entry in self._by_block.items()
+        }
+        clone.stats = copy.copy(self.stats)  # flat int counters
+        clone.tracer = self.tracer
+        clone.core = self.core
+        return clone
 
     def _release(self, cycle: int, completion: int) -> None:
         """Trace hook: one in-flight heap entry retired."""

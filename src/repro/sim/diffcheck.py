@@ -18,6 +18,15 @@ engines and compares
 workloads × all store-prefetch policies × warmup on/off) and a
 hypothesis-driven fuzzer through :func:`run_case`.
 
+Forked groups (:mod:`repro.sim.prefix`) get their own case:
+:func:`run_group_case` runs a set of config cells over one trace the way a
+campaign does, forking each from a shared pre-store snapshot, and compares
+every cell's full result tree with its own unshared reference-engine run.
+:func:`group_matrix` crosses storeless traces, a store at µop 0, a store
+inside the first dispatch group and a real workload with every policy, SB
+sizes 4/14/56 and SB coalescing on and off.  Forked runs are untraced by
+construction, so event streams are not part of this comparison.
+
 The multicore half of the module proves the event-heap scheduler
 (:mod:`repro.multicore.scheduler`) against the lockstep oracle the same
 way: :func:`run_multicore_case` runs one PARSEC workload through both
@@ -36,13 +45,16 @@ invalidation traffic is part of the proof.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Sequence
 
 from repro.config.system import StorePrefetchPolicy, SystemConfig
 from repro.core.policies import SpbPrefetch
 from repro.isa.trace import Trace
+from repro.isa.uop import MicroOp, OpKind
 from repro.multicore.system import MulticoreSystem
+from repro.sim.prefix import PrefixSlot, fork_order, prefix_key
 from repro.sim.runner import simulate
 from repro.trace import CollectorSink, Tracer, events_digest, shadow_registry_for
 from repro.workloads.parsec import parsec
@@ -317,6 +329,166 @@ def run_matrix(
         report
         for report in (run_case(case, shadow=shadow) for case in cases)
         if not report.identical
+    ]
+
+
+# --------------------------------------------------------------------------
+# Forked groups: cells sharing a pre-store prefix vs unshared reference runs
+# --------------------------------------------------------------------------
+
+#: Group matrix rows: (workload, trace length).  The synthetic rows place
+#: the first store at the edges of the fork point: nowhere, at µop 0 (the
+#: pause happens before cycle 0), inside the first dispatch group, and
+#: after a prefix that fills the L1D with lines the cells go on to evict,
+#: re-touch and write.  bwaves stores from µop ~4400, so its fork comes
+#: after a real prefix of loads, misses and mispredicts.
+GROUP_CELLS = (
+    ("synthetic-storeless", 1_500),
+    ("synthetic-store-at-0", 1_500),
+    ("synthetic-store-at-2", 1_500),
+    ("synthetic-store-at-1000", 3_000),
+    ("bwaves", 5_000),
+)
+
+#: Where each synthetic row's first store sits (``None``: no store at all).
+_SYNTHETIC_FIRST_STORE = {
+    "synthetic-storeless": None,
+    "synthetic-store-at-0": 0,
+    "synthetic-store-at-2": 2,
+    "synthetic-store-at-1000": 1_000,
+}
+
+
+#: Bytes the synthetic rows load from and store to: twice the L1D, so lines
+#: the prefix brought in are evicted, re-touched and written after the fork.
+_SYNTHETIC_REGION = 0x10000
+
+
+def synthetic_trace(workload: str, length: int, seed: int = 1) -> Trace:
+    """A seeded load/ALU/branch mix whose first store sits where the row says.
+
+    After the first store, a third of the µops store in contiguous runs,
+    so SB capacity, coalescing and SPB bursts all matter.  Loads and stores
+    share one region, so the cells' runs after the fork keep changing state
+    the prefix built.  The branches mispredict now and then, so wrong-path
+    stores (which only the at-execute engine acts on) occur before the
+    first store too.
+    """
+    first = _SYNTHETIC_FIRST_STORE[workload]
+    rng = random.Random(seed)
+    base = 0x40000
+    ops = []
+    for index in range(length):
+        roll = rng.random()
+        if first is not None and (index == first or (index > first and roll < 0.33)):
+            addr = base + (index * 8) % _SYNTHETIC_REGION
+            ops.append(MicroOp(OpKind.STORE, pc=0x600 + (index % 3) * 8, addr=addr, size=8))
+        elif roll < 0.6:
+            ops.append(
+                MicroOp(
+                    OpKind.LOAD, pc=0x700,
+                    addr=base + rng.randrange(0, _SYNTHETIC_REGION, 8),
+                    size=8, dep_distance=rng.choice((0, 1, 3)),
+                )
+            )
+        elif roll < 0.7:
+            ops.append(
+                MicroOp(
+                    OpKind.BRANCH, pc=0x800, taken=rng.random() < 0.5,
+                    mispredicted=rng.random() < 0.2,
+                )
+            )
+        else:
+            ops.append(MicroOp(OpKind.INT_ALU, pc=0x900))
+    return Trace(ops, name=workload)
+
+
+def group_configs(
+    sb_sizes: Sequence[int] = (4, 14, 56), coalescing: Sequence[bool] = (False, True)
+) -> tuple[SystemConfig, ...]:
+    """Every policy at every SB size (Ideal unbounded), with and without
+    SB coalescing: cells of several prefix keys, interleaved."""
+    configs = []
+    for coalesce in coalescing:
+        for policy in StorePrefetchPolicy:
+            sizes = (1024,) if policy is StorePrefetchPolicy.IDEAL else sb_sizes
+            for entries in sizes:
+                config = SystemConfig.skylake(sb_entries=entries, store_prefetch=policy)
+                configs.append(
+                    replace(config, core=replace(config.core, sb_coalescing=coalesce))
+                )
+    return tuple(configs)
+
+
+@dataclass(frozen=True)
+class GroupDiffCase:
+    """Config cells of one trace, run as a forked group on the fast engine.
+
+    Each cell's result must equal its own unshared ``engine="reference"``
+    run; the configs' own ``engine`` fields are irrelevant.
+    """
+
+    workload: str
+    configs: tuple[SystemConfig, ...]
+    length: int = MATRIX_LENGTH
+    seed: int = 1
+    sim_seed: int = 7
+
+    def describe(self) -> str:
+        return (
+            f"group-{self.workload}-{len(self.configs)}cells"
+            f"-L{self.length}-s{self.seed}"
+        )
+
+    def build_trace(self) -> Trace:
+        if self.workload in _SYNTHETIC_FIRST_STORE:
+            return synthetic_trace(self.workload, self.length, self.seed)
+        return spec2017(self.workload, length=self.length, seed=self.seed)
+
+
+def run_group_case(case: GroupDiffCase) -> DiffReport:
+    """Run ``case``'s cells as one forked group; diff each with the reference.
+
+    Cells run in :func:`~repro.sim.prefix.fork_order` through one
+    :class:`~repro.sim.prefix.PrefixSlot`, as a campaign runs a trace
+    group.  Beyond the full result trees, the group must simulate exactly
+    one prefix per key shared by several cells and leave no snapshot.
+    """
+    trace = case.build_trace()
+    configs = [config.with_engine("fast") for config in case.configs]
+    keys = [prefix_key(config) for config in configs]
+    slot = PrefixSlot()
+    problems: list[str] = []
+    for index, followers in fork_order(keys):
+        config = configs[index]
+        slot.followers = followers
+        forked = simulate(trace, config, seed=case.sim_seed, prefix=slot)
+        reference = simulate(
+            trace, config.with_engine("reference"), seed=case.sim_seed
+        )
+        label = (
+            f"cell {index} ({config.store_prefetch.value}"
+            f"/sb{config.core.store_buffer_per_thread}"
+            f"/coalescing={config.core.sb_coalescing})"
+        )
+        problems += [f"{label}: {p}" for p in compare_results(reference, forked)]
+    shared = sum(1 for key in set(keys) if keys.count(key) > 1)
+    if slot.prefix_runs != shared:
+        problems.append(f"{slot.prefix_runs} prefix run(s) for {shared} shared key(s)")
+    if slot.holds_snapshot():
+        problems.append("a snapshot outlived its group")
+    return DiffReport(case=case, problems=problems)
+
+
+def group_matrix(
+    cells: Sequence[tuple[str, int]] = GROUP_CELLS,
+) -> list[GroupDiffCase]:
+    """The CI forked-group matrix: every :data:`GROUP_CELLS` row crossed
+    with :func:`group_configs`."""
+    configs = group_configs()
+    return [
+        GroupDiffCase(workload=workload, configs=configs, length=length)
+        for workload, length in cells
     ]
 
 

@@ -105,6 +105,11 @@ class FastPipeline(Pipeline):
     implementation, which keeps the two engines interchangeable everywhere.
     """
 
+    _SHARED_ON_COPY = Pipeline._SHARED_ON_COPY | {
+        "_fp_kinds", "_fp_lats", "_fp_addrs", "_fp_blocks", "_fp_deps",
+        "_fp_pcs", "_fp_sizes", "_fp_mispreds", "_fp_takens",
+    }
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         (
@@ -113,11 +118,30 @@ class FastPipeline(Pipeline):
             self._fp_takens,
         ) = uop_arrays(self.trace, self.block_bytes)
 
-    def run(self, max_cycles: int = 500_000_000):  # noqa: C901 — one hot loop
-        """Run to completion; semantics transcribed from the reference loop."""
+    def run(  # noqa: C901 — one hot loop
+        self, max_cycles: int = 500_000_000, *, pause_before: int | None = None
+    ):
+        """Run to completion; semantics transcribed from the reference loop.
+
+        With ``pause_before`` the run instead stops at the top of the first
+        cycle that could dispatch µop ``pause_before`` (the first with
+        ``ip + width > pause_before``), with every piece of state flushed
+        back, and a later ``run()`` resumes it exactly where it stopped.
+        :mod:`repro.sim.prefix` pauses at a trace's first store, where
+        config cells that differ only in SB size or store-prefetch policy
+        are still identical.
+        """
         # ---- immutable context, hoisted to locals -----------------------
         ops = self._ops
         n = self._n
+        width = self.width
+        # Pausing costs one comparison per dispatching cycle: the dispatch
+        # stage arms it by dropping ``cycle_limit`` below zero, which trips
+        # the per-cycle ``max_cycles`` check at the end of that cycle.
+        pause_ip = n if pause_before is None else pause_before - width
+        if self._ip > pause_ip:
+            return self.stats
+        cycle_limit = max_cycles
         kinds = self._fp_kinds
         blocks = self._fp_blocks
         lats = self._fp_lats
@@ -150,7 +174,6 @@ class FastPipeline(Pipeline):
         l1_mshr = hierarchy.l1_mshr
         tracer = self.tracer
         core_id = self._core_id
-        width = self.width
         rob_cap = self.rob_capacity
         iq_cap = self.iq_capacity
         lq_cap = self.lq_capacity
@@ -434,6 +457,8 @@ class FastPipeline(Pipeline):
                                     self.cycle = cycle
                                     self._inject_wrong_path(completion - cycle)
                                     break
+                        if ip > pause_ip:
+                            cycle_limit = -1
 
                 # ---- stall attribution, sampling, advance ---------------
                 # Reference order: _attribute_stall for the blocked cycle
@@ -527,7 +552,9 @@ class FastPipeline(Pipeline):
                         cycles_acc += extra
                         cycle = target
 
-                if cycle > max_cycles:
+                if cycle > cycle_limit:
+                    if cycle_limit < 0:
+                        break  # pause point: the next cycle may dispatch it
                     raise RuntimeError(
                         f"simulation exceeded {max_cycles} cycles "
                         f"(ip={ip}/{n}, rob={rob_len}, sb={sb_len})"

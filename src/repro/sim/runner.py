@@ -10,12 +10,13 @@ work.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Sequence
 
 from repro.config.system import SystemConfig
-from repro.core.policies import SpbPrefetch, build_store_prefetch_engine
+from repro.core.policies import SpbPrefetch
 from repro.core.spb import SpbStats
-from repro.energy.model import EnergyModel
 from repro.isa.trace import Trace
 from repro.memory.cache import CacheStats
 from repro.memory.dram import DramStats
@@ -23,11 +24,11 @@ from repro.memory.hierarchy import MemoryHierarchy, TrafficStats
 from repro.memory.mshr import MSHRStats
 from repro.memory.tlb import TLBStats
 from repro.multicore.system import MulticoreResult, MulticoreSystem
-from repro.prefetch import build_prefetcher
 from repro.prefetch.stats import PrefetchOutcomeTracker
 from repro.sim.fastpath import pipeline_class
+from repro.sim.prefix import PrefixSlot, can_fork
+from repro.sim.single import new_system, result_of
 from repro.stats.result import SimResult
-from repro.stats.topdown import TopDownMetrics
 
 
 def split_warmup(trace: Trace, warmup: int) -> tuple[Trace | None, Trace]:
@@ -89,7 +90,7 @@ def _attach_tracer(tracer, hierarchy: MemoryHierarchy, engine) -> None:
 
 def simulate(
     trace: Trace, config: SystemConfig, seed: int = 7, warmup: int = 0,
-    tracer=None,
+    tracer=None, *, prefix: PrefixSlot | None = None,
 ) -> SimResult:
     """Run ``trace`` on the machine described by ``config``.
 
@@ -98,11 +99,15 @@ def simulate(
     only the remainder of the trace is measured.  ``tracer`` (a
     :class:`repro.trace.Tracer`, or ``None`` for zero-overhead silence)
     observes the measured portion only, mirroring the counters.
+
+    ``prefix`` lets consecutive runs of ``trace`` share their pre-store
+    prefix (:mod:`repro.sim.prefix`); runs that
+    :func:`~repro.sim.prefix.can_fork` rejects ignore it.  The result is
+    the same either way.
     """
-    hierarchy = MemoryHierarchy(
-        config.caches, prefetcher=build_prefetcher(config.cache_prefetcher)
-    )
-    engine = build_store_prefetch_engine(config.store_prefetch, hierarchy, config.spb)
+    if prefix is not None and can_fork(config, warmup, tracer):
+        return prefix.simulate(trace, config, seed)
+    hierarchy, engine = new_system(config)
     cls = pipeline_class(config.engine)
     start_cycle = 0
     warm_part, trace = split_warmup(trace, warmup)
@@ -117,29 +122,8 @@ def simulate(
         config, trace, hierarchy, engine, seed=seed, start_cycle=start_cycle,
         tracer=tracer,
     )
-    stats = pipeline.run()
-    outcomes = engine.tracker.finalize()
-    detector_stats = engine.detector.stats if isinstance(engine, SpbPrefetch) else None
-    result = SimResult(
-        workload=trace.name,
-        config_key=config.cache_key(),
-        policy=config.store_prefetch.value,
-        sb_entries=config.core.store_buffer_per_thread,
-        pipeline=stats,
-        topdown=TopDownMetrics.from_stats(stats, config.core.width),
-        traffic=hierarchy.traffic,
-        l1_stats=hierarchy.l1d.stats,
-        l2_stats=hierarchy.l2.stats,
-        l3_stats=hierarchy.uncore.l3.stats,
-        prefetch_outcomes=outcomes,
-        sb_stats=pipeline.sb.stats,
-        engine_stats=engine.stats,
-        detector_stats=detector_stats,
-    )
-    result.energy = EnergyModel().evaluate(result)
-    result.extras["regions"] = stats.stalls_by_region(trace.region_of)
-    result.extras["l1_mshr"] = hierarchy.l1_mshr.stats
-    return result
+    pipeline.run()
+    return result_of(pipeline)
 
 
 def simulate_multicore(
@@ -163,17 +147,33 @@ def simulate_multicore(
 
 
 def result_key(
-    name: str, length: int, seed: int, config: SystemConfig, warmup: int = 0
+    name: str, length: int, seed: int, config: SystemConfig, warmup: int = 0,
+    kind: str = "spec2017",
 ) -> str:
     """Canonical content key of one single-core run.
 
-    Workload traces are deterministic functions of (name, length, seed), so
-    together with ``config.cache_key()`` (a stable hash of the whole machine
-    description) the string identifies the run completely.  Both the
-    in-process :class:`ResultsCache` and the on-disk result store in
+    Workload traces are deterministic functions of the factory ``kind``
+    and ``(name, length, seed)``, so together with ``config.cache_key()``
+    (a stable hash of the whole machine description) the string identifies
+    the run completely.  Two kinds may use the same workload name for
+    different traces, so the kind is part of the key.  The readable fields
+    lead; the trailing digest covers all of them, so no choice of names can
+    make two runs' keys collide.  Both the in-process
+    :class:`ResultsCache` and the on-disk result store in
     :mod:`repro.campaign` key by it, so the two tiers share entries.
     """
-    return f"{name}-L{length}-s{seed}-w{warmup}-{config.cache_key()}"
+    return run_key(kind, name, f"L{length}-s{seed}-w{warmup}", config)
+
+
+def run_key(kind: str, name: str, shape: str, config: SystemConfig) -> str:
+    """``<kind>-<name>-<shape>-<digest>``: the store key of one run.
+
+    ``shape`` holds the run's other trace and phase parameters; the digest
+    hashes every part together with ``config.cache_key()``.
+    """
+    parts = json.dumps([kind, name, shape, config.cache_key()])
+    digest = hashlib.sha256(parts.encode()).hexdigest()[:16]
+    return f"{kind}-{name}-{shape}-{digest}"
 
 
 class ResultsCache:
@@ -233,7 +233,16 @@ class ResultsCache:
         seed: int = 1,
         warmup: int = 0,
     ) -> SimResult:
-        key = result_key(name, length, seed, config, warmup)
+        """The run of ``trace_factory(name, ...)`` on ``config``, memoised.
+
+        The key names the factory by its registered workload kind
+        (:meth:`repro.campaign.Campaign.kind_for_factory`), as a campaign
+        job's key does, so the two share entries.
+        """
+        from repro.campaign.job import Campaign  # the campaign layer imports us
+
+        kind = Campaign.kind_for_factory(trace_factory)
+        key = result_key(name, length, seed, config, warmup, kind)
         result = self.lookup(key)
         if result is None:
             trace = trace_factory(name, length=length, seed=seed)

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 
 import pytest
@@ -397,6 +398,201 @@ class TestTraceReuse:
         )
         assert job.key == first
         assert small_job() == job  # the memo is not a field
+
+
+class TestResultKeysNameTheKind:
+    """Two workload kinds may reuse a name; their results must not mix."""
+
+    @staticmethod
+    def register_alias_kind():
+        def alias(name, length=0, seed=1):
+            return spec2017("exchange2", length=length, seed=seed)
+
+        register_workload("alias-of-exchange2", alias)
+        return "alias-of-exchange2"
+
+    def test_kind_is_part_of_the_key(self):
+        kind = self.register_alias_kind()
+        assert small_job(app="mcf").key != small_job(app="mcf", workload_kind=kind).key
+
+    def test_same_name_two_kinds_one_store(self, tmp_path):
+        kind = self.register_alias_kind()
+        store = ResultStore(str(tmp_path))
+        spec_job = small_job(app="mcf")
+        alias_job = small_job(app="mcf", workload_kind=kind)
+        first = run_campaign([spec_job], store=store, max_workers=1)
+        second = run_campaign([alias_job], store=store, max_workers=1)
+        assert second.telemetry.simulated == 1  # no disk hit on spec's mcf
+        assert first.get(spec_job) == run_job(spec_job)
+        assert second.get(alias_job) == run_job(alias_job)
+        assert first.get(spec_job).cycles != second.get(alias_job).cycles
+        again = run_campaign([spec_job, alias_job], store=store, max_workers=1)
+        assert again.telemetry.disk_hits == 2
+        assert again.get(spec_job) == first.get(spec_job)
+        assert again.get(alias_job) == second.get(alias_job)
+
+    def test_results_cache_get_keys_by_kind(self):
+        kind = self.register_alias_kind()
+        alias = workload_factory(kind)
+        cache = ResultsCache()
+        spec = cache.get(spec2017, "mcf", LENGTH, SystemConfig())
+        aliased = cache.get(alias, "mcf", LENGTH, SystemConfig())
+        assert cache.misses == 2
+        assert spec.cycles != aliased.cycles
+
+    def test_store_rejects_a_file_holding_another_key(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        result = run_job(small_job())
+        store.save("kind a-gcc", result)  # both keys map to one file name
+        assert store.load("kind_a-gcc") is None
+        assert store.load("kind a-gcc") == result
+
+
+class TestPrefixSharing:
+    """Cells of one trace that differ only in SB size or policy fork from
+    one simulated prefix; the results stay those of unshared runs."""
+
+    APPS = ("bwaves", "mcf")
+    PREFIX_LENGTH = 5_000  # bwaves' first store is near µop 4400; mcf has none
+
+    def jobs(self, kind="spec2017"):
+        campaign = Campaign.matrix(
+            self.APPS, policies=["at-commit", "spb", "at-execute"],
+            sb_sizes=[14, 56], length=self.PREFIX_LENGTH, engine="fast",
+            workload_kind=kind,
+        )
+        return campaign.jobs
+
+    def test_one_prefix_per_key_and_results_unchanged(self):
+        jobs = self.jobs()
+        report = run_campaign(jobs, max_workers=1)
+        assert report.ok
+        # Per app: at-commit and SPB share one prefix (4 cells), at-execute
+        # keeps its policy in the key (2 cells).  Storeless mcf finishes
+        # inside its prefix, so only bwaves copies paused runs.
+        assert report.telemetry.prefix_runs == 2 * len(self.APPS)
+        assert report.telemetry.forks == 3 + 1
+        for job in jobs:
+            assert report.get(job) == run_job(job)
+
+    def test_cells_sharing_a_prefix_run_back_to_back(self):
+        report = run_campaign(self.jobs(), max_workers=1)
+        policies = [o.job.config.store_prefetch.value for o in report.outcomes]
+        assert policies[:6] == ["at-commit"] * 2 + ["spb"] * 2 + ["at-execute"] * 2
+
+    def test_no_snapshot_outlives_the_campaign(self, monkeypatch):
+        from repro.sim.prefix import PrefixSlot
+
+        copies = []
+        original = PrefixSlot._copy
+
+        def recording_copy(slot, pipeline):
+            clone = original(slot, pipeline)
+            copies.append(weakref.ref(clone))
+            return clone
+
+        monkeypatch.setattr(PrefixSlot, "_copy", recording_copy)
+        report = run_campaign(self.jobs(), max_workers=1)
+        assert report.ok and copies
+        assert all(ref() is None for ref in copies)
+
+    def test_reference_and_warmed_cells_never_fork(self):
+        jobs = [
+            dataclasses.replace(job, config=job.config.with_engine("reference"))
+            for job in self.jobs()
+        ]
+        jobs += [dataclasses.replace(job, warmup=500) for job in self.jobs()]
+        report = run_campaign(jobs, max_workers=1)
+        assert report.ok
+        assert report.telemetry.prefix_runs == 0 and report.telemetry.forks == 0
+
+    def test_traced_cells_never_fork(self, tmp_path):
+        jobs = self.jobs()[:2]
+        report = run_campaign(jobs, max_workers=1, trace_dir=str(tmp_path))
+        assert report.ok and report.telemetry.traces_captured == 2
+        assert report.telemetry.prefix_runs == 0
+
+
+class TestPoolGroups:
+    """The pool takes one future per trace group."""
+
+    @staticmethod
+    def file_counting_factory(kind, directory):
+        """Counts generations across worker processes, one file each."""
+
+        def counting(name, length=0, seed=1):
+            fd, _ = tempfile.mkstemp(dir=directory, prefix=f"{name}-")
+            os.close(fd)
+            return spec2017(name, length=length, seed=seed)
+
+        register_workload(kind, counting)
+        return kind
+
+    @pytest.fixture(autouse=True)
+    def linux_only(self):
+        if sys.platform != "linux":
+            pytest.skip("relies on fork inheriting the workload registry")
+
+    def test_one_generation_per_group_and_one_prefix_per_key(self, tmp_path):
+        kind = self.file_counting_factory("pool-count", str(tmp_path))
+        jobs = TestPrefixSharing().jobs(kind)
+        report = run_campaign(jobs, max_workers=2)
+        assert report.ok and report.telemetry.simulated == len(jobs)
+        generated = sorted(name.split("-")[0] for name in os.listdir(tmp_path))
+        assert generated == sorted(TestPrefixSharing.APPS)
+        assert report.telemetry.prefix_runs == 2 * len(TestPrefixSharing.APPS)
+        for job in jobs:
+            assert report.get(job) == run_job(job)
+
+    def test_failing_job_retries_alone(self, tmp_path, monkeypatch):
+        from repro.campaign import executor
+
+        generations = tmp_path / "generations"
+        generations.mkdir()
+        kind = self.file_counting_factory("pool-retry", str(generations))
+        jobs = TestPrefixSharing().jobs(kind)
+        victim = jobs[1]
+        sentinel = tmp_path / "failed-once"
+        simulate_for_real = executor.simulate
+
+        def fail_victim_once(trace, config, **kwargs):
+            if config == victim.config and trace.name == victim.workload:
+                if not sentinel.exists():
+                    sentinel.write_text("x")
+                    raise RuntimeError("injected job failure")
+            return simulate_for_real(trace, config, **kwargs)
+
+        monkeypatch.setattr(executor, "simulate", fail_victim_once)
+        events = []
+        report = run_campaign(jobs, max_workers=2, retries=1, progress=events.append)
+        assert report.ok and report.telemetry.retries == 1
+        assert [e.status for e in events if e.job_key == victim.key] == [RETRY, SIMULATED]
+        attempts = {o.job.key: o.attempts for o in report.outcomes}
+        assert attempts.pop(victim.key) == 2
+        assert set(attempts.values()) == {1}
+        # Two groups, plus one generation for the lone retry.
+        assert len(os.listdir(generations)) == len(TestPrefixSharing.APPS) + 1
+        assert report.get(victim) == run_job(victim)
+
+    def test_timeout_fails_only_the_unanswered_group(self, monkeypatch):
+        import time
+
+        from repro.campaign import executor
+
+        simulate_for_real = executor.simulate
+
+        def stall_bwaves(trace, config, **kwargs):
+            if trace.name == "bwaves":
+                time.sleep(6)
+            return simulate_for_real(trace, config, **kwargs)
+
+        monkeypatch.setattr(executor, "simulate", stall_bwaves)
+        jobs = [small_job(app="gcc"), small_job(app="bwaves")]
+        report = run_campaign(jobs, max_workers=2, retries=0, timeout=2.0)
+        status = {o.job.workload: o for o in report.outcomes}
+        assert status["gcc"].status == SIMULATED
+        assert status["bwaves"].status == FAILED
+        assert "timed out" in status["bwaves"].error
 
 
 class TestExecuteJob:

@@ -16,7 +16,12 @@ Four layers, all built on :mod:`repro.sim.diffcheck`:
   SB size, prefetcher), mixing short structural traces with store-covering
   bwaves/roms lengths.  ``REPRO_DIFF_CASES`` scales the fuzz budget
   (default 50 examples); a diverging example is greedily shrunk to the
-  smallest still-diverging configuration before the failure is reported.
+  smallest still-diverging configuration before the failure is reported;
+* **forked groups** — config cells of one trace forked from a shared
+  pre-store snapshot (:mod:`repro.sim.prefix`), each compared with its own
+  unshared reference-engine run, as a matrix and as a fuzzer over drawn
+  groups, plus the guards that keep traced, warmed-up and reference runs
+  from ever forking.
 """
 
 from __future__ import annotations
@@ -33,13 +38,20 @@ from repro.isa.trace import Trace
 from repro.isa.uop import MicroOp, OpKind
 from repro.sim.diffcheck import (
     DiffCase,
+    GroupDiffCase,
     compare_results,
     compare_values,
     default_matrix,
     diff_trace,
+    group_matrix,
     run_case,
+    run_group_case,
     shrink_case,
 )
+from repro.sim.prefix import PrefixSlot
+from repro.sim.runner import simulate
+from repro.trace import CollectorSink, Tracer
+from repro.workloads.spec import spec2017
 
 MATRIX = default_matrix()
 
@@ -223,3 +235,83 @@ class TestShrinker:
     def test_non_diverging_case_is_returned_unchanged(self):
         case = DiffCase("exchange2", SystemConfig.skylake(), length=400)
         assert shrink_case(case) == case
+
+
+@pytest.mark.parametrize("case", group_matrix(), ids=lambda case: case.describe())
+def test_forked_groups_bit_identical(case):
+    """Every group cell forked from a shared prefix equals its own
+    unshared reference run, with one prefix per shared key."""
+    report = run_group_case(case)
+    assert report.identical, report.message()
+
+
+_group_cases = st.builds(
+    GroupDiffCase,
+    workload=st.sampled_from(("exchange2", "mcf", "bwaves", "roms")),
+    configs=st.lists(_config_strategy, min_size=2, max_size=5).map(tuple),
+    length=st.integers(min_value=300, max_value=5_000),
+    seed=st.integers(min_value=1, max_value=1_000),
+    sim_seed=st.integers(min_value=1, max_value=64),
+)
+
+
+class TestForkedGroupFuzz:
+    @settings(
+        max_examples=max(1, FUZZ_EXAMPLES // 5),
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_group_cases)
+    def test_random_groups_never_diverge(self, case):
+        report = run_group_case(case)
+        assert report.identical, report.message()
+
+
+class TestForkGuards:
+    """Runs that must stay unshared never touch the prefix slot."""
+
+    TRACE_LENGTH = 5_000  # bwaves' first store is near µop 4400
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return spec2017("bwaves", length=self.TRACE_LENGTH, seed=1)
+
+    @staticmethod
+    def slot_expecting_followers() -> PrefixSlot:
+        slot = PrefixSlot()
+        slot.followers = 3
+        return slot
+
+    def test_fast_run_with_followers_forks(self, trace):
+        slot = self.slot_expecting_followers()
+        simulate(trace, SystemConfig.skylake().with_engine("fast"), prefix=slot)
+        assert slot.prefix_runs == 1 and slot.holds_snapshot()
+
+    def test_traced_run_never_forks(self, trace):
+        slot = self.slot_expecting_followers()
+        config = SystemConfig.skylake().with_engine("fast")
+        traced = simulate(trace, config, tracer=Tracer([CollectorSink()]), prefix=slot)
+        assert slot.prefix_runs == 0 and slot.forks == 0
+        assert not slot.holds_snapshot()
+        assert traced == simulate(trace, config)
+
+    def test_warmed_up_run_never_forks(self, trace):
+        slot = self.slot_expecting_followers()
+        config = SystemConfig.skylake().with_engine("fast")
+        warmed = simulate(trace, config, warmup=1_000, prefix=slot)
+        assert slot.prefix_runs == 0 and not slot.holds_snapshot()
+        assert warmed == simulate(trace, config, warmup=1_000)
+
+    def test_reference_engine_never_forks(self, trace):
+        slot = self.slot_expecting_followers()
+        simulate(trace, SystemConfig.skylake(), prefix=slot)
+        assert slot.prefix_runs == 0 and not slot.holds_snapshot()
+
+    def test_other_trace_releases_the_snapshot(self, trace):
+        slot = self.slot_expecting_followers()
+        config = SystemConfig.skylake().with_engine("fast")
+        simulate(trace, config, prefix=slot)
+        other = spec2017("roms", length=self.TRACE_LENGTH, seed=1)
+        slot.followers = 0
+        assert simulate(other, config, prefix=slot) == simulate(other, config)
+        assert not slot.holds_snapshot()

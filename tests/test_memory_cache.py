@@ -126,3 +126,56 @@ class TestPrefetchedFlag:
         cache.insert(1, MESIState.E, 0)
         cache.insert(2, MESIState.E, 0)
         assert sorted(cache.resident_blocks()) == [1, 2]
+
+
+class TestSetsOnFirstTouch:
+    """Sets exist only once touched; behaviour matches eager sets."""
+
+    def test_new_cache_builds_no_sets(self):
+        cache = SetAssociativeCache(CacheConfig("L3", 16 * 1024 * 1024, 16, latency=40))
+        assert len(cache._sets) == 0
+        assert cache.occupancy() == 0 and cache.resident_blocks() == []
+
+    def test_lookup_on_untouched_set_is_a_counted_miss(self):
+        cache = tiny_cache(assoc=2, sets=4)
+        assert cache.lookup(7, cycle=0) is None
+        assert cache.lookup_line(6, cycle=0) is None
+        assert cache.stats.misses == 2 and cache.stats.tag_accesses == 2
+        assert cache.occupancy() == 0
+
+    def test_peek_and_invalidate_on_absent_sets(self):
+        cache = tiny_cache(assoc=2, sets=4)
+        cache.insert(1, MESIState.E, cycle=0)
+        assert cache.peek(2) is None
+        assert not cache.was_prefetched(3)
+        cache.clear_prefetched(3)
+        assert cache.invalidate(2) is None
+        assert cache.stats.invalidations == 0
+        assert cache.resident_blocks() == [1]
+
+    def test_eviction_order_unchanged_across_sets(self):
+        cache = tiny_cache(assoc=2, sets=4)
+        # Touch set 3 before set 1: per-set LRU order must not care.
+        for cycle, block in enumerate((3, 7, 1, 5)):
+            cache.insert(block, MESIState.E, cycle)
+        cache.lookup(3, cycle=10)  # 7 becomes set 3's LRU line
+        assert cache.insert(11, MESIState.E, cycle=11) == (7, MESIState.E)
+        assert cache.insert(9, MESIState.E, cycle=12) == (1, MESIState.E)
+        assert cache.resident_blocks() == [5, 9, 3, 11]  # set-index order
+        assert cache.stats.evictions == 2
+
+    def test_deepcopy_is_independent(self):
+        import copy
+
+        cache = tiny_cache(assoc=2, sets=4)
+        cache.insert(1, MESIState.E, 0, prefetched=True)
+        cache.insert(5, MESIState.M, 1)
+        clone = copy.deepcopy(cache)
+        assert clone.resident_blocks() == cache.resident_blocks()
+        assert clone.stats == cache.stats and clone.stats is not cache.stats
+        clone.set_state(1, MESIState.M)
+        clone.clear_prefetched(1)
+        assert clone.insert(9, MESIState.E, 2) == (1, MESIState.M)
+        assert cache.peek(1) == MESIState.E and cache.was_prefetched(1)
+        assert cache.resident_blocks() == [1, 5]
+        assert cache.stats.evictions == 0

@@ -55,7 +55,7 @@ class TestCacheProperties:
         for cycle, block in enumerate(inserts):
             cache.insert(block, MESIState.E, cycle)
         assert cache.occupancy() <= 8 * 2
-        for cache_set in cache._sets:
+        for cache_set in cache._sets.values():
             assert len(cache_set) <= 2
 
     @given(st.lists(blocks, min_size=1, max_size=100))
