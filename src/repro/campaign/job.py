@@ -11,6 +11,7 @@ apps × policies × SB-sizes × prefetchers matrix.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
@@ -150,13 +151,26 @@ class Campaign:
     def kind_for_factory(factory: Callable[..., Trace]) -> str:
         """Map a factory callable back to its registered kind.
 
-        Unknown factories are auto-registered under their ``__name__`` so
-        ad-hoc factories (tests, notebooks) can ride through the engine.
+        An unregistered factory is registered under its ``module.qualname``
+        when that path resolves back to the same object, which makes the
+        kind unique.  Lambdas, nested functions and partials have no such
+        path (two lambdas would share the name ``<lambda>`` and each other's
+        results), so they raise ``ValueError``: register them first.
         """
         for kind, known in _FACTORIES.items():
             if known is factory:
                 return kind
-        kind = getattr(factory, "__name__", repr(factory))
+        module = sys.modules.get(getattr(factory, "__module__", None) or "")
+        qualname = getattr(factory, "__qualname__", "")
+        target = module
+        for part in qualname.split("."):
+            target = getattr(target, part, None)
+        if module is None or target is not factory:
+            raise ValueError(
+                f"workload factory {factory!r} has no importable name; give "
+                "it a kind with repro.campaign.register_workload(kind, factory)"
+            )
+        kind = f"{module.__name__}.{qualname}"
         register_workload(kind, factory)
         return kind
 

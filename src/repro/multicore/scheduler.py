@@ -4,12 +4,16 @@
 :meth:`repro.multicore.system.MulticoreSystem.run` when
 ``SystemConfig.engine == "fast"``.  The reference loop advances *every*
 pending core one cycle at a time and can only jump when all cores are
-simultaneously blocked; this scheduler lets each core run its flat
-fast-path cycle loop (:mod:`repro.sim.fastpath`) independently up to a
+simultaneously blocked; this scheduler runs one
+:func:`~repro.sim.kernel.cycle_kernel` per core (the single-core fast
+engine's kernel, given this module's shared clock) independently up to a
 conservative horizon and skips each core's quiescent spans individually,
 while reproducing the lockstep execution **bit-identically** — same
 per-core counters, same shared-uncore state evolution, same per-core event
 streams (:mod:`repro.sim.diffcheck` enforces this on a PARSEC matrix).
+With the clock the kernel keeps the lockstep's skip accounting, which
+differs from a single-core run's even on one core (see
+:mod:`repro.sim.kernel`).
 
 How equivalence is kept
 -----------------------
@@ -64,10 +68,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 
-from repro.core.store_buffer import StoreBufferEntry
-from repro.sim.fastpath import _ALU, _BRANCH, _LOAD, _STORE, _TAGS  # noqa: F401
-
-_INF = float("inf")
+from repro.sim.kernel import _INF, _jump_contribution, cycle_kernel
 
 
 class _SharedClock:
@@ -111,12 +112,6 @@ class _SharedClock:
         end = self.ends[i]
         return self.cum[i] + (end if end < x else x) - starts[i]
 
-    def stepped_in(self, a: int, b: int) -> int:
-        """Stepped (non-skipped) cycles in ``[a, b)``."""
-        if b <= a:
-            return 0
-        return (b - a) - (self.skipped_before(b) - self.skipped_before(a))
-
     def iter_stepped(self, a: int, b: int):
         """Yield the stepped cycles in ``[a, b)`` in ascending order."""
         starts = self.starts
@@ -139,22 +134,6 @@ class _SharedClock:
                 while cur < b:
                     yield cur
                     cur += 1
-
-
-def _jump_contribution(cands: tuple, threshold: int) -> int:
-    """One core's ``_next_event()`` under the reference jump threshold.
-
-    ``cands`` are the core's latched candidate events (all strictly after
-    its park cycle, and frozen for the span); the reference evaluates
-    ``_next_event`` with ``self.cycle == threshold``, so candidates at
-    exactly ``threshold`` are excluded and the no-candidate fallback is
-    ``threshold + 1``.
-    """
-    best = 0
-    for v in cands:
-        if v > threshold and (best == 0 or v < best):
-            best = v
-    return best if best else threshold + 1
 
 
 def _quiescent_jump(clock: _SharedClock, heap: list, cands_store: list) -> None:
@@ -189,605 +168,6 @@ def _quiescent_jump(clock: _SharedClock, heap: list, cands_store: list) -> None:
         heapq.heappush(heap, (target, cid))
 
 
-def _core_runner(pipe, clock: _SharedClock, my_id: int, max_cycles: int):
-    """Generator driving one core's fast cycle loop under the scheduler.
-
-    Protocol: yields ``(key, cands)`` when the core must hand control back
-    (``key`` is the global cycle at which its body next needs to run;
-    ``cands`` its latched candidate events, or ``None`` right after a
-    progress cycle).  The scheduler resumes it with ``(resume,
-    horizon_time, horizon_id)``: the cycle it was popped at and the new
-    heap minimum.  The cycle body is transcribed from
-    :meth:`repro.sim.fastpath.FastPipeline.run` (which transcribes the
-    reference ``_cycle_body``); the single-core skip block is replaced by
-    the multicore finalize/park/jump logic, whose skipped spans use the
-    lockstep jump's light accounting (``cycles`` only).
-    """
-    # ---- immutable context, hoisted to locals (as FastPipeline.run) -----
-    ops = pipe._ops
-    n = pipe._n
-    kinds = pipe._fp_kinds
-    blocks = pipe._fp_blocks
-    lats = pipe._fp_lats
-    deps = pipe._fp_deps
-    pcs = pipe._fp_pcs
-    addrs = pipe._fp_addrs
-    sizes = pipe._fp_sizes
-    mispreds = pipe._fp_mispreds
-    takens = pipe._fp_takens
-    ready = pipe._ready
-    rob_shared = pipe._rob
-    from collections import deque
-
-    rob = deque(entry[0] for entry in rob_shared)
-    rob_len = len(rob)
-    sb = pipe.sb
-    sb_entries = sb._entries
-    sb_len = len(sb_entries)
-    sb_blocks = sb._blocks
-    sb_get = sb_blocks.get
-    sb_stats = sb.stats
-    sb_coalescing = sb.coalescing
-    sb_core = sb.core
-    stats = pipe.stats
-    stalls = stats.stalls
-    sb_stall_by_pc = stats.sb_stall_by_pc
-    hierarchy = pipe.hierarchy
-    engine = pipe.engine
-    l1_mshr = hierarchy.l1_mshr
-    tracer = pipe.tracer
-    core_id = pipe._core_id
-    width = pipe.width
-    rob_cap = pipe.rob_capacity
-    iq_cap = pipe.iq_capacity
-    lq_cap = pipe.lq_capacity
-    sq_cap = pipe.sq_capacity
-    sq_unbounded = pipe.sq_unbounded
-    mp_penalty = pipe.mispredict_penalty
-    l1_latency = pipe.config.caches.l1d.latency
-    iq_release = pipe._iq_release
-    predictor = pipe.predictor
-    trace_annotated = pipe._trace_annotated
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    hier_load = hierarchy.load
-    hier_fill_arrival = hierarchy.fill_arrival
-    hier_has_write = hierarchy.has_write_permission
-    hier_perform_store = hierarchy.perform_store
-    hier_store_permission = hierarchy.store_permission
-    on_store_executed = engine.on_store_executed
-    on_store_committed = engine.on_store_committed
-    on_store_performed = engine.on_store_performed
-    mshr_outstanding = l1_mshr.outstanding
-    # The in-flight heaps are mutated in place and never rebound, so their
-    # truthiness gates the per-cycle ``outstanding`` call: with both empty
-    # there is nothing to expire and the count is zero.
-    mshr_demand = l1_mshr._demand
-    mshr_prefetch = l1_mshr._prefetch
-    clock_skipped_before = clock.skipped_before
-    clock_iter_stepped = clock.iter_stepped
-    clock_record_skip = clock.record_skip
-
-    # ---- mutable per-cycle state in locals ------------------------------
-    cycle = pipe.cycle
-    ip = pipe._ip
-    loads_in_rob = pipe._loads_in_rob
-    sq_occ = pipe._sq_occupancy
-    sq_blocks = pipe._sq_blocks
-    sq_get = sq_blocks.get
-    iq_occ = pipe._iq_occupancy
-    fetch_resume = pipe._fetch_resume
-    sb_head_ready = pipe._sb_head_ready
-    sb_head_accounted = pipe._sb_head_accounted
-
-    # ---- statistic accumulators (flushed on exit) -----------------------
-    cycles_acc = 0
-    uops_acc = 0
-    stores_acc = 0
-    loads_acc = 0
-    branches_acc = 0
-    mispred_acc = 0
-    load_wait_acc = 0
-    exec_stall_acc = 0
-    sb_stall_acc = 0
-    stall_sb = 0
-    stall_rob = 0
-    stall_iq = 0
-    stall_lq = 0
-    stall_fe = 0
-    occ_integral_acc = 0
-    occ_samples_acc = 0
-    cam_acc = 0
-    fwd_acc = 0
-    push_acc = 0
-    coalesce_acc = 0
-    drain_acc = 0
-    max_occ = sb_stats.max_occupancy
-
-    # ---- scheduling state ----------------------------------------------
-    park_key = cycle  # first yield: initial activity at the start cycle
-    park_cands = None
-    block_reason = None
-    blocked_pc = 0
-    gprog = False
-    htime = _INF
-    hid = -1
-
-    try:
-        while True:
-            if park_key is not None:
-                resume, htime, hid = yield (park_key, park_cands)
-                if resume != cycle:
-                    if park_cands is None:
-                        raise RuntimeError(
-                            "scheduler resumed an active core off-cycle"
-                        )
-                    # ---- settle the quiescent span [cycle, resume) ------
-                    # The reference steps this blocked core at every
-                    # stepped cycle of the span (full accounting, reason
-                    # frozen) and charges only ``cycles`` for skipped ones.
-                    a = cycle
-                    b = resume
-                    cycles_acc += b - a
-                    if tracer is None:
-                        stepped = (b - a) - (
-                            clock_skipped_before(b) - clock_skipped_before(a)
-                        )
-                        if stepped:
-                            if ip < n and block_reason is not None:
-                                if block_reason == "sb":
-                                    stall_sb += stepped
-                                    sb_stall_acc += stepped
-                                    sb_stall_by_pc[blocked_pc] += stepped
-                                elif block_reason == "frontend":
-                                    stall_fe += stepped
-                                elif block_reason == "issue_queue":
-                                    stall_iq += stepped
-                                elif block_reason == "load_queue":
-                                    stall_lq += stepped
-                                elif block_reason == "rob":
-                                    stall_rob += stepped
-                            occ_integral_acc += sb_len * stepped
-                            occ_samples_acc += stepped
-                            # L1D-miss-pending check: nothing commits while
-                            # quiescent, and the MSHR heaps are frozen, so
-                            # outstanding(cyc) > 0 iff cyc < max completion.
-                            mshr_max = 0
-                            if mshr_demand:
-                                mshr_max = max(mshr_demand)
-                            if mshr_prefetch:
-                                pf_max = max(mshr_prefetch)
-                                if pf_max > mshr_max:
-                                    mshr_max = pf_max
-                            if mshr_max > a:
-                                upto = mshr_max if mshr_max < b else b
-                                exec_stall_acc += (upto - a) - (
-                                    clock_skipped_before(upto)
-                                    - clock_skipped_before(a)
-                                )
-                    else:
-                        # Traced: replay stepped cycles one by one so the
-                        # stall.dispatch / mshr.release events carry the
-                        # reference cycle stamps, in the reference order
-                        # within this core's stream.
-                        emit = tracer.emit
-                        attrib = ip < n and block_reason is not None
-                        pc_arg = blocked_pc if block_reason == "sb" else None
-                        for cyc in clock_iter_stepped(a, b):
-                            if attrib:
-                                emit(
-                                    cyc, "stall.dispatch", core=core_id,
-                                    tag=block_reason, value=1, pc=pc_arg,
-                                )
-                                if block_reason == "sb":
-                                    stall_sb += 1
-                                    sb_stall_acc += 1
-                                    sb_stall_by_pc[blocked_pc] += 1
-                                elif block_reason == "frontend":
-                                    stall_fe += 1
-                                elif block_reason == "issue_queue":
-                                    stall_iq += 1
-                                elif block_reason == "load_queue":
-                                    stall_lq += 1
-                                elif block_reason == "rob":
-                                    stall_rob += 1
-                            if mshr_outstanding(cyc):
-                                exec_stall_acc += 1
-                            occ_integral_acc += sb_len
-                            occ_samples_acc += 1
-                    cycle = resume
-                gprog = clock.progress
-                park_key = None
-
-            # ==== one cycle body at ``cycle`` (FastPipeline.run) =========
-            # ---- drain the SB head (reference: _drain_sb) ---------------
-            drained = False
-            if sb_len:
-                head = sb_entries[0]
-                head_block = head.block
-                if sb_head_ready is None:
-                    arrival = hier_fill_arrival(head_block, cycle)
-                    if not sb_head_accounted:
-                        on_store_performed(head_block, cycle)
-                        sb_head_accounted = True
-                    if arrival is not None:
-                        sb_head_ready = arrival
-                    elif hier_has_write(head_block):
-                        sb_head_ready = cycle
-                    else:
-                        sb_head_ready = hier_store_permission(
-                            head_block, cycle
-                        ).completion
-                if sb_head_ready <= cycle:
-                    if hier_has_write(head_block):
-                        hier_perform_store(head_block, cycle)
-                    # Inlined sb.pop(cycle).
-                    sb_entries.popleft()
-                    sb_len -= 1
-                    remaining = sb_blocks[head_block] - 1
-                    if remaining:
-                        sb_blocks[head_block] = remaining
-                    else:
-                        del sb_blocks[head_block]
-                    drain_acc += 1
-                    if tracer is not None:
-                        tracer.emit(
-                            cycle, "sb.drain", core=sb_core,
-                            block=head_block, value=sb_len,
-                        )
-                    sq_occ -= 1
-                    remaining = sq_blocks[head_block] - 1
-                    if remaining:
-                        sq_blocks[head_block] = remaining
-                    else:
-                        del sq_blocks[head_block]
-                    sb_head_ready = None
-                    sb_head_accounted = False
-                    drained = True
-
-            # ---- commit (reference: _commit) ----------------------------
-            committed = 0
-            while committed < width and rob_len:
-                index = rob[0]
-                if ready[index] > cycle:
-                    break
-                kind = kinds[index]
-                if kind == _STORE:
-                    block = blocks[index]
-                    if (
-                        sb_coalescing
-                        and sb_len
-                        and sb_entries[-1].block == block
-                    ):
-                        coalesce_acc += 1
-                        push_acc += 1
-                        if tracer is not None:
-                            tracer.emit(
-                                cycle, "sb.coalesce", core=sb_core,
-                                block=block, pc=pcs[index],
-                            )
-                        sq_occ -= 1
-                        remaining = sq_blocks[block] - 1
-                        if remaining:
-                            sq_blocks[block] = remaining
-                        else:
-                            del sq_blocks[block]
-                    else:
-                        sb_entries.append(
-                            StoreBufferEntry(
-                                block=block,
-                                addr=addrs[index],
-                                size=sizes[index],
-                                pc=pcs[index],
-                                commit_cycle=cycle,
-                            )
-                        )
-                        sb_len += 1
-                        sb_blocks[block] = sb_get(block, 0) + 1
-                        push_acc += 1
-                        if sb_len > max_occ:
-                            max_occ = sb_len
-                        if tracer is not None:
-                            tracer.emit(
-                                cycle, "sb.insert", core=sb_core,
-                                block=block, pc=pcs[index],
-                                value=sb_len,
-                            )
-                    on_store_committed(block, addrs[index], cycle)
-                    stores_acc += 1
-                elif kind == _LOAD:
-                    loads_in_rob -= 1
-                    loads_acc += 1
-                elif kind == _BRANCH:
-                    branches_acc += 1
-                rob.popleft()
-                rob_len -= 1
-                uops_acc += 1
-                committed += 1
-                if tracer is not None:
-                    tracer.emit(
-                        cycle, "uop.commit", core=core_id,
-                        pc=pcs[index], value=index, tag=_TAGS[kind],
-                    )
-
-            # ---- dispatch (reference: _dispatch) ------------------------
-            dispatched = 0
-            block_reason = None
-            blocked_pc = 0
-            if ip < n:
-                if fetch_resume > cycle:
-                    block_reason = "frontend"
-                else:
-                    while iq_release and iq_release[0] <= cycle:
-                        heappop(iq_release)
-                        iq_occ -= 1
-                    while dispatched < width and ip < n:
-                        kind = kinds[ip]
-                        if rob_len >= rob_cap:
-                            block_reason = "rob"
-                            break
-                        if iq_occ >= iq_cap:
-                            block_reason = "issue_queue"
-                            break
-                        if kind == _LOAD and loads_in_rob >= lq_cap:
-                            block_reason = "load_queue"
-                            break
-                        if (
-                            kind == _STORE
-                            and not sq_unbounded
-                            and sq_occ >= sq_cap
-                        ):
-                            block_reason = "sb"
-                            blocked_pc = pcs[ip]
-                            break
-                        index = ip
-                        dep = deps[index]
-                        dep_ready = (
-                            ready[index - dep]
-                            if dep and index >= dep
-                            else 0
-                        )
-                        issue = cycle + 1
-                        if dep_ready > issue:
-                            issue = dep_ready
-                        if kind == _LOAD:
-                            block = blocks[index]
-                            pipe._last_load_block = block
-                            cam_acc += 1
-                            if block in sq_blocks:
-                                fwd_acc += 1
-                                completion = issue + l1_latency
-                            else:
-                                completion = hier_load(block, issue).completion
-                            load_wait_acc += completion - issue
-                            loads_in_rob += 1
-                        elif kind == _STORE:
-                            block = blocks[index]
-                            pipe._last_store_block = block
-                            completion = issue + lats[index]
-                            sq_occ += 1
-                            sq_blocks[block] = sq_get(block, 0) + 1
-                            on_store_executed(block, issue)
-                        else:
-                            completion = issue + lats[index]
-                        ready[index] = completion
-                        rob.append(index)
-                        rob_len += 1
-                        iq_occ += 1
-                        heappush(iq_release, issue)
-                        ip += 1
-                        dispatched += 1
-                        if tracer is not None:
-                            kind_tag = _TAGS[kind]
-                            tracer.emit(
-                                cycle, "uop.dispatch", core=core_id,
-                                pc=pcs[index],
-                                addr=addrs[index]
-                                if kind == _LOAD or kind == _STORE
-                                else None,
-                                value=index, tag=kind_tag,
-                            )
-                            tracer.emit(
-                                issue, "uop.issue", core=core_id,
-                                value=index, tag=kind_tag,
-                            )
-                        if kind == _BRANCH:
-                            if trace_annotated:
-                                mispredicted = mispreds[index]
-                            else:
-                                predicted = predictor.predict(pcs[index])
-                                mispredicted = predictor.record(
-                                    predicted, takens[index]
-                                )
-                                predictor.update(pcs[index], takens[index])
-                            if mispredicted:
-                                mispred_acc += 1
-                                fetch_resume = completion + mp_penalty
-                                if tracer is not None:
-                                    tracer.emit(
-                                        cycle, "frontend.redirect",
-                                        core=core_id, pc=pcs[index],
-                                        value=fetch_resume,
-                                    )
-                                pipe.cycle = cycle
-                                pipe._inject_wrong_path(completion - cycle)
-                                break
-
-            # ---- stall attribution, sampling, advance -------------------
-            if dispatched == 0 and ip < n:
-                if tracer is not None and block_reason is not None:
-                    tracer.emit(
-                        cycle, "stall.dispatch", core=core_id,
-                        tag=block_reason, value=1,
-                        pc=blocked_pc if block_reason == "sb" else None,
-                    )
-                if block_reason == "sb":
-                    stall_sb += 1
-                    sb_stall_acc += 1
-                    sb_stall_by_pc[blocked_pc] += 1
-                elif block_reason == "frontend":
-                    stall_fe += 1
-                elif block_reason == "issue_queue":
-                    stall_iq += 1
-                elif block_reason == "load_queue":
-                    stall_lq += 1
-                elif block_reason == "rob":
-                    stall_rob += 1
-            if committed == 0 and (mshr_demand or mshr_prefetch) and mshr_outstanding(cycle):
-                exec_stall_acc += 1
-            occ_integral_acc += sb_len
-            occ_samples_acc += 1
-            cycles_acc += 1
-            cycle += 1
-            if cycle > max_cycles:
-                raise RuntimeError(
-                    f"multicore run exceeded {max_cycles} cycles"
-                )
-
-            # ==== multicore scheduling (replaces the single-core skip) ===
-            done = ip >= n and not rob_len and not sb_len
-            # Bodies always start at the frontier; cycles this core ran
-            # through internally are finalized up to (but not including)
-            # the one just processed.  Exits that fully finalize it
-            # overwrite this below; exits that leave it pending (tie
-            # parks, deferred jumps, quiescent-done returns) rely on it.
-            clock.frontier = cycle - 1
-
-            if htime < cycle:
-                # Another core is still due at the cycle just processed
-                # (htime == cycle - 1): record progress and park among the
-                # ties without finalizing the cycle.
-                if drained or committed or dispatched:
-                    clock.progress = True
-                    if done:
-                        return
-                    # A progressing core may act again next cycle; only a
-                    # blocked core's latched candidates bound its next
-                    # activity.
-                    park_key = cycle
-                    park_cands = None
-                    continue
-                if done:
-                    return
-                c = cycle - 1
-                cands = []
-                if sb_head_ready is not None and sb_head_ready > c:
-                    cands.append(sb_head_ready)
-                if rob_len:
-                    head_ready = ready[rob[0]]
-                    if head_ready > c:
-                        cands.append(head_ready)
-                if ip < n and fetch_resume > c:
-                    cands.append(fetch_resume)
-                if iq_release and iq_release[0] > c:
-                    cands.append(iq_release[0])
-                park_cands = tuple(cands)
-                park_key = min(cands) if cands else cycle
-                continue
-
-            # Last core to process cycle c = cycle - 1: finalize it.
-            if drained or committed or dispatched or gprog:
-                if gprog:
-                    clock.progress = False
-                    gprog = False
-                if done:
-                    clock.frontier = cycle
-                    return
-                if cycle < htime or (cycle == htime and my_id < hid):
-                    continue  # still first at the next cycle: keep running
-                clock.frontier = cycle
-                park_key = cycle
-                park_cands = None
-                continue
-
-            # Globally blocked cycle (no tie core progressed either).
-            if done:
-                # Initially-done core (empty trace): the reference steps it
-                # once, then drops it before the jump; leave the cycle for
-                # the scheduler's quiescent-gap logic to finalize.
-                return
-            c = cycle - 1
-            cands = []
-            if sb_head_ready is not None and sb_head_ready > c:
-                cands.append(sb_head_ready)
-            if rob_len:
-                head_ready = ready[rob[0]]
-                if head_ready > c:
-                    cands.append(head_ready)
-            if ip < n and fetch_resume > c:
-                cands.append(fetch_resume)
-            if iq_release and iq_release[0] > c:
-                cands.append(iq_release[0])
-            if htime > cycle:
-                # No parked core sits at the jump threshold, so the global
-                # jump target is min(own next event, heap minimum) — both
-                # computed with the reference ``> c + 1`` exclusion.
-                own_ne = 0
-                for v in cands:
-                    if v > cycle and (own_ne == 0 or v < own_ne):
-                        own_ne = v
-                if own_ne == 0:
-                    own_ne = cycle + 1
-                target = own_ne if own_ne < htime else htime
-                clock_record_skip(cycle, target)
-                clock.frontier = target
-                if target < htime or (target == htime and my_id < hid):
-                    # Keep running solo: the lockstep jump's light
-                    # accounting (cycles only) for the skipped span.
-                    cycles_acc += target - cycle
-                    cycle = target
-                    if cycle > max_cycles:
-                        raise RuntimeError(
-                            f"multicore run exceeded {max_cycles} cycles"
-                        )
-                    continue
-                act = min(cands) if cands else cycle
-                park_cands = tuple(cands)
-                park_key = act if act > target else target
-                continue
-            # htime == cycle: a parked core sits exactly at c + 1 — the
-            # reference threshold would exclude its latched event, so the
-            # jump needs every parked candidate set; defer to
-            # _quiescent_jump via the scheduler (frontier stays at c).
-            park_cands = tuple(cands)
-            park_key = min(cands) if cands else cycle
-            continue
-    finally:
-        # ---- flush locals back to the shared state ----------------------
-        rob_shared.clear()
-        rob_shared.extend((index, ops[index]) for index in rob)
-        pipe.cycle = cycle
-        pipe._ip = ip
-        pipe._loads_in_rob = loads_in_rob
-        pipe._sq_occupancy = sq_occ
-        pipe._iq_occupancy = iq_occ
-        pipe._fetch_resume = fetch_resume
-        pipe._sb_head_ready = sb_head_ready
-        pipe._sb_head_accounted = sb_head_accounted
-        stats.cycles += cycles_acc
-        stats.committed_uops += uops_acc
-        stats.committed_stores += stores_acc
-        stats.committed_loads += loads_acc
-        stats.committed_branches += branches_acc
-        stats.mispredicted_branches += mispred_acc
-        stats.load_wait_cycles += load_wait_acc
-        stats.exec_stall_l1d_pending += exec_stall_acc
-        stats.sb_stall_cycles += sb_stall_acc
-        stalls.sb_full += stall_sb
-        stalls.rob_full += stall_rob
-        stalls.issue_queue_full += stall_iq
-        stalls.load_queue_full += stall_lq
-        stalls.frontend += stall_fe
-        sb_stats.occupancy_integral += occ_integral_acc
-        sb_stats.occupancy_samples += occ_samples_acc
-        sb_stats.cam_searches += cam_acc
-        sb_stats.forwarding_hits += fwd_acc
-        sb_stats.pushes += push_acc
-        sb_stats.coalesced += coalesce_acc
-        sb_stats.drains += drain_acc
-        sb_stats.max_occupancy = max_occ
-
-
 def run_fast(system, max_cycles: int = 500_000_000) -> None:
     """Run every core of ``system`` to completion under the event heap.
 
@@ -802,7 +182,7 @@ def run_fast(system, max_cycles: int = 500_000_000) -> None:
     try:
         sends = []
         for cid, pipe in enumerate(pipelines):
-            gen = _core_runner(pipe, clock, cid, max_cycles)
+            gen = cycle_kernel(pipe, max_cycles, clock=clock, my_id=cid)
             runners.append(gen)
             sends.append(gen.send)
             key, cands = next(gen)

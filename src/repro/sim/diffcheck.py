@@ -505,10 +505,14 @@ def group_matrix(
 #: matrix).  dedup's shared heap (1 MiB) is small enough that four threads
 #: collide on blocks, so its SPB cells drive cross-core invalidations
 #: through the directory — the coherence interaction the scheduler must not
-#: reorder.  The remaining rows spread engine coverage (policies, core
-#: counts, app mixes) without running the full cross product in CI.
+#: reorder.  The one-core canneal row pins the kernel's lockstep skip
+#: accounting with one core, which differs from single-core accounting
+#: (``rob_full`` 12 against 610 on its SB-14 cells).  The remaining rows spread
+#: engine coverage (policies, core counts, app mixes) without running the
+#: full cross product in CI.
 MULTICORE_CELLS = (
     ("dedup", 4, 10_000, None),
+    ("canneal", 1, 4_000, ("at-commit", "spb")),
     ("canneal", 2, 4_000, ("at-commit", "spb")),
     ("swaptions", 2, 3_000, ("none", "spb")),
     ("x264", 4, 8_000, ("at-commit", "spb", "ideal")),

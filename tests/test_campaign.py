@@ -9,6 +9,7 @@ run, plus the manifest/CLI/telemetry surface.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -39,6 +40,11 @@ from repro.campaign.progress import DISK_HIT, FAILED, MEMORY_HIT, RETRY, SIMULAT
 from repro.sim.runner import result_key
 
 LENGTH = 2_000  # small but long enough to exercise every stat
+
+
+def exchange2_as(name, length, seed=1):
+    """An unregistered module-level workload factory."""
+    return spec2017("exchange2", length=length, seed=seed)
 
 
 def small_job(app="gcc", policy="at-commit", sb=14, **kwargs) -> Job:
@@ -125,6 +131,30 @@ class TestCampaignMatrix:
 
     def test_kind_for_factory_roundtrip(self):
         assert Campaign.kind_for_factory(spec2017) == "spec2017"
+
+    def test_unregistered_factory_is_named_by_its_import_path(self):
+        kind = Campaign.kind_for_factory(exchange2_as)
+        assert kind == f"{__name__}.exchange2_as"
+        assert workload_factory(kind) is exchange2_as
+
+    def test_factories_without_an_import_path_are_refused(self):
+        """Two lambdas once shared the kind ``<lambda>``: the second
+        ``get`` returned the first's cached exchange2 run for mcf."""
+        exchange2 = lambda name, length, seed=1: spec2017("exchange2", length=length, seed=seed)  # noqa: E731
+        mcf = lambda name, length, seed=1: spec2017("mcf", length=length, seed=seed)  # noqa: E731
+
+        def nested(name, length, seed=1):
+            return spec2017("mcf", length=length, seed=seed)
+
+        cache = ResultsCache()
+        for factory in (exchange2, mcf, nested, functools.partial(exchange2_as, "x")):
+            with pytest.raises(ValueError, match="register_workload"):
+                cache.get(factory, "x", LENGTH, SystemConfig())
+        assert cache.misses == 0
+        register_workload("mcf-as-lambda", mcf)
+        assert cache.get(mcf, "x", LENGTH, SystemConfig()) == simulate(
+            spec2017("mcf", length=LENGTH), SystemConfig()
+        )
 
 
 class TestResultStore:

@@ -9,6 +9,7 @@ from repro.isa.trace import Trace
 from repro.isa.uop import MicroOp, OpKind
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.prefetch import build_prefetcher
+from repro.sim.fastpath import FastPipeline
 
 from tests.conftest import make_store_run
 
@@ -196,12 +197,17 @@ class TestDeterminism:
         assert a.cycles == b.cycles
         assert a.committed_uops == b.committed_uops
 
-    def test_runaway_guard(self):
-        pipeline, _dummy = run_pipeline([])  # build a fresh pipeline cheaply
+    @pytest.mark.parametrize(
+        "pipeline_class", [Pipeline, FastPipeline], ids=lambda cls: cls.__name__
+    )
+    def test_runaway_guard(self, pipeline_class):
         config = SystemConfig()
-        hierarchy = MemoryHierarchy(config.caches)
-        engine = build_store_prefetch_engine("none", hierarchy)
         trace = Trace(make_store_run(0x1000, 64))
-        stuck = Pipeline(config, trace, hierarchy, engine)
-        with pytest.raises(RuntimeError):
-            stuck.run(max_cycles=10)
+        for limit in (10, -1):
+            hierarchy = MemoryHierarchy(config.caches)
+            engine = build_store_prefetch_engine("none", hierarchy)
+            stuck = pipeline_class(config, trace, hierarchy, engine)
+            with pytest.raises(RuntimeError, match=f"exceeded {limit} cycles") as excinfo:
+                stuck.run(max_cycles=limit)
+            if pipeline_class is FastPipeline:
+                assert excinfo.traceback[-1].name == "cycle_kernel"

@@ -162,6 +162,9 @@ def _random_mix_trace(length: int = 600, seed: int = 3) -> Trace:
 
 
 SYNTHETIC_TRACES = {
+    # No µop at all: 0 cycles under both engines (a finished pipeline runs
+    # no cycle, unlike a core under the multicore lockstep).
+    "empty": lambda: Trace([], name="synthetic-empty"),
     "burst": _store_burst_trace,
     "interleave": _store_load_interleave_trace,
     "mix": _random_mix_trace,
@@ -181,6 +184,12 @@ def test_synthetic_store_traces_bit_identical(trace_name, policy, sb_entries):
     )
     report = diff_trace(trace, case, shadow=True)
     assert report.identical, report.message()
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_empty_trace_takes_no_cycles(engine):
+    result = simulate(Trace([]), SystemConfig.skylake(engine=engine))
+    assert result.cycles == 0 and result.pipeline.committed_uops == 0
 
 
 _config_strategy = st.builds(

@@ -47,9 +47,13 @@ class TestExecution:
     def test_single_core_multicore_matches_simulate_exactly(self, engine):
         """A 1-core multicore run times out identically to ``simulate``.
 
-        The schedulers only differ from the single-core loop in how they
-        *attribute* skipped cycles to stall causes, never in when anything
-        happens — so cycle counts and committed work must match exactly.
+        Both fast runs go through the one cycle kernel, with the scheduler's
+        shared clock or without; the two skip-accounting modes differ only
+        in how they *attribute* skipped cycles to stall causes (canneal,
+        SB 56: ``rob_full`` 58 multicore vs 1 551 single-core), never in
+        when anything happens, so cycle counts and committed work match.
+        The one-core row of the multicore differential matrix compares the
+        rest field for field with the lockstep oracle.
         """
         from repro import simulate
 
@@ -62,6 +66,17 @@ class TestExecution:
             assert multi.per_core[0].committed_uops == (
                 single.pipeline.committed_uops
             )
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_runaway_guard(self, engine):
+        traces = parsec("dedup", threads=2, length=2_000)
+        config = SystemConfig.skylake(num_cores=2, engine=engine)
+        for limit in (10, -1):
+            system = MulticoreSystem(config, traces)
+            with pytest.raises(RuntimeError, match=f"exceeded {limit} cycles") as excinfo:
+                system.run(max_cycles=limit)
+            if engine == "fast":
+                assert excinfo.traceback[-1].name == "cycle_kernel"
 
     def test_engine_override_beats_config(self):
         traces = parsec("swaptions", threads=2, length=2_000)

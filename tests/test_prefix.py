@@ -95,6 +95,22 @@ class TestPauseAndResume:
         paused.run()
         assert result_of(paused) == result_of(whole)
 
+    @pytest.mark.parametrize("length", [0, 2_000], ids=["empty", "storeless"])
+    @pytest.mark.parametrize("at", ["start", "end"])
+    def test_pause_without_a_store(self, length, at):
+        """No fork point inside the trace: the pause still returns and
+        resumes exactly (an empty trace runs no cycle either way)."""
+        trace = spec2017("mcf", length=length, seed=1) if length else Trace([])
+        config = fast(sb=14)
+        whole = new_pipeline(trace, config, 7)
+        whole.run()
+        paused = new_pipeline(trace, config, 7)
+        paused.run(pause_before=0 if at == "start" else first_store(trace))
+        assert paused._ip <= first_store(trace)
+        paused.run()
+        assert result_of(paused) == result_of(whole)
+        assert (whole.stats.cycles == 0) == (length == 0)
+
     def test_pause_is_at_the_top_of_the_fork_cycle(self):
         trace = spec2017("bwaves", length=6_000, seed=1)
         pipeline = new_pipeline(trace, fast(), 7)
