@@ -4,35 +4,34 @@ Every job is looked up in the two cache tiers (in-process memory, then the
 persistent on-disk store); only the misses are simulated.  Misses run on a
 ``ProcessPoolExecutor`` — the simulator is pure Python and deterministic
 per seed, so cells are embarrassingly parallel and a parallel run returns
-``SimResult``\\ s identical to a serial run of the same matrix.  Failed or
-crashed jobs are retried (``retries`` extra attempts each), and the engine
-degrades gracefully to in-process serial execution when ``max_workers`` is
-1 or the platform cannot spawn a pool.
+``SimResult``\\ s identical to a serial run of the same matrix.  The
+engine degrades gracefully to in-process serial execution when
+``max_workers`` is 1 or the platform cannot spawn a pool.
 
-Cache misses run grouped by trace identity (workload kind, name, length,
-seed, threads) in first-appearance order, and a one-slot memo
-(:class:`TraceSlot`) hands every job of a group the trace(s) its first job
-generated: a sweep of N configs over one workload builds the workload
-once, not N times.  Within a group, cells with the same
-:func:`~repro.sim.prefix.prefix_key` run back to back and share their
-pre-store prefix: the first simulates it and leaves a snapshot in the
-slot, the rest fork from it (:mod:`repro.sim.prefix`).  The first cell's
-``wall_time`` therefore carries the prefix.  The memo holds at most one
-workload and one snapshot at a time and is emptied when
-:func:`run_campaign` returns; pool workers keep one each for their
-lifetime.  Outside a campaign every job builds its own trace.
+Misses run grouped by trace identity (workload kind, name, length, seed,
+threads) in first-appearance order, and :func:`_run_group` runs one group:
+it builds the group's trace(s) once and runs its jobs through one
+:class:`~repro.sim.prefix.PrefixShare`, so a sweep of N configs over one
+workload builds the workload once, not N times, and cells with the same
+:func:`~repro.sim.prefix.prefix_key` run back to back and fork from one
+simulated pre-store prefix.  The first cell's ``wall_time`` therefore
+carries the trace generation and the prefix.  Nothing outlives its group;
+outside a campaign every job builds its own trace.
 
-The pool runs one future per trace group, so each group's trace is built
-once whatever the worker count.  A failed job retries alone in the next
-round.  Per-job ``timeout`` (seconds) applies to pool execution only: a
-group whose results do not arrive within ``timeout`` times its job count
-fails every job it has not answered, as one failed attempt each.  The
-worker process itself cannot be interrupted mid-simulation, so the pool is
-shut down without waiting in that case.
+The serial path runs the groups in-process; the pool runs one future per
+group, so each group's trace is built once whatever the worker count.
+Both go through one round loop with one retry rule: failed jobs (``retries``
+extra attempts each) are regrouped and run in the next round.  Per-job
+``timeout`` (seconds) applies to pool execution only: a group whose results
+do not arrive within ``timeout`` times its job count fails every job it has
+not answered, as one failed attempt each.  The worker process itself cannot
+be interrupted mid-simulation, so the pool is shut down without waiting in
+that case.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import time
@@ -52,7 +51,7 @@ from repro.campaign.progress import (
     ProgressCallback,
 )
 from repro.campaign.store import ResultStore
-from repro.sim.prefix import PrefixSlot, can_fork, fork_order, prefix_key
+from repro.sim.prefix import PrefixShare, can_fork, fork_order
 from repro.sim.runner import ResultsCache, simulate, simulate_multicore
 from repro.stats.result import SimResult
 
@@ -71,73 +70,9 @@ def job_trace_path(trace_dir: str, job: Job) -> str:
     return os.path.join(trace_dir, f"{job.key}.trace.jsonl")
 
 
-class TraceSlot:
-    """One-slot memo of the trace(s) the most recent job ran on.
-
-    :func:`run_campaign` owns one per campaign, and each pool worker one
-    for its lifetime.  The previous trace is released *before* the next one
-    is built, so at most one workload is alive; a factory exception
-    propagates (a failed attempt of that job) and leaves the slot empty.
-    Traces are never written after construction, so handing one to several
-    runs cannot change any result.
-
-    :attr:`prefix` holds the current trace's pre-store snapshot, if any;
-    the executor sets its ``followers`` before each run, and a new trace
-    releases it.
-    """
-
-    def __init__(self) -> None:
-        self._identity: tuple | None = None
-        self._traces = None
-        self.prefix = PrefixSlot()
-
-    def traces(self, job: Job):
-        """``job``'s trace (a list of them for multicore jobs)."""
-        identity = job.trace_identity
-        if identity != self._identity:
-            self.clear()
-            self._traces = _build_traces(job)
-            self._identity = identity
-        return self._traces
-
-    def clear(self) -> None:
-        self._identity = self._traces = None
-        self.prefix.clear()
-
-
-def _build_traces(job: Job):
-    return job.build_traces() if job.threads else job.build_trace()
-
-
-#: A pool worker's slot, created by the pool initializer in each worker.
-_worker_slot: TraceSlot | None = None
-
-
-def _init_worker() -> None:
-    global _worker_slot
-    _worker_slot = TraceSlot()
-
-
-def fork_plan(group: list[Job]) -> list[tuple[Job, int]]:
-    """One trace group's run order, with each job's prefix followers.
-
-    Jobs that can share a prefix run back to back
-    (:func:`~repro.sim.prefix.fork_order`); each is paired with the number
-    of later jobs that will fork from its prefix.  Warmed-up,
-    reference-engine and multicore jobs never fork and get 0; traced runs
-    ignore the prefix slot altogether.
-    """
-    keys = [
-        prefix_key(job.config)
-        if not job.threads and can_fork(job.config, job.warmup)
-        else None
-        for job in group
-    ]
-    return [(group[index], followers) for index, followers in fork_order(keys)]
-
-
 def run_job(
-    job: Job, trace_dir: str | None = None, *, slot: TraceSlot | None = None
+    job: Job, trace_dir: str | None = None, *, traces=None,
+    prefix: PrefixShare | None = None,
 ):
     """Simulate one job in-process (no cache tiers).
 
@@ -151,76 +86,115 @@ def run_job(
     written to :func:`job_trace_path` as JSONL — the campaign layer's
     per-job capture.
 
-    With ``slot`` the trace comes from that :class:`TraceSlot`, and an
-    untraced run shares its prefix through ``slot.prefix`` (how
-    :func:`run_campaign` shares work between consecutive jobs); without,
-    the job builds its own trace and runs alone.
+    ``traces`` is the job's already built trace (a list of them for
+    multicore jobs), and ``prefix`` the share an untraced single-core run
+    forks through (how :func:`_run_group` shares work between the jobs of
+    a group); without them the job builds its own trace and runs alone.
     """
-    trace = slot.traces(job) if slot is not None else _build_traces(job)
-    if job.threads:
-        return _run_multicore_job(job, trace, trace_dir)
-    if trace_dir is None:
-        prefix = slot.prefix if slot is not None else None
-        return simulate(trace, job.config, warmup=job.warmup, prefix=prefix)
-    from repro.trace import JsonlSink, Tracer
+    if traces is None:
+        traces = _build_traces(job)
+    tracer = None
+    if trace_dir is not None:
+        from repro.trace import JsonlSink, Tracer
 
-    os.makedirs(trace_dir, exist_ok=True)
-    tracer = Tracer([JsonlSink(job_trace_path(trace_dir, job))])
+        os.makedirs(trace_dir, exist_ok=True)
+        tracer = Tracer([JsonlSink(job_trace_path(trace_dir, job))])
     try:
-        return simulate(trace, job.config, warmup=job.warmup, tracer=tracer)
+        if job.threads:
+            result = simulate_multicore(traces, job.config, tracer=tracer)
+            return dataclasses.replace(result, pipelines=[])
+        return simulate(
+            traces, job.config, warmup=job.warmup, tracer=tracer, prefix=prefix
+        )
     finally:
-        tracer.close()
+        if tracer is not None:
+            tracer.close()
 
 
-def _run_multicore_job(job: Job, traces: list, trace_dir: str | None = None):
-    """One multicore job: N-thread traces through one coherent system."""
-    if trace_dir is None:
-        result = simulate_multicore(traces, job.config)
-        return dataclasses.replace(result, pipelines=[])
-    from repro.trace import JsonlSink, Tracer
-
-    os.makedirs(trace_dir, exist_ok=True)
-    tracer = Tracer([JsonlSink(job_trace_path(trace_dir, job))])
-    try:
-        result = simulate_multicore(traces, job.config, tracer=tracer)
-        return dataclasses.replace(result, pipelines=[])
-    finally:
-        tracer.close()
+def _build_traces(job: Job):
+    return job.build_traces() if job.threads else job.build_trace()
 
 
-def _run_planned(
-    slot: TraceSlot, job: Job, followers: int, trace_dir: str | None
+def _run_group(
+    jobs: list[Job], trace_dir: str | None, telemetry: CampaignTelemetry
 ):
-    """One job of a :func:`fork_plan` through ``slot``; ``(result, wall)``."""
-    slot.prefix.followers = followers
-    started = time.perf_counter()
-    result = run_job(job, trace_dir, slot=slot)
-    return result, time.perf_counter() - started
+    """Run one trace group; yield ``(job, result, error, wall)`` per job.
 
-
-def _simulate_group(plan: list[tuple[Job, int]], trace_dir: str | None = None):
-    """Pool worker: run one trace group's jobs (module-level: picklable).
-
-    Returns ``(answers, prefix_runs, fork_seconds)``: one ``(result, error,
-    wall)`` per job, with ``error`` the exception text of a failed job, and
-    this group's share of the worker slot's prefix counters.
+    The group's trace(s) are built once, by the first job; a failed build
+    is that job's failed attempt, and the next job builds again.  Jobs run
+    in :func:`~repro.sim.prefix.fork_order` through one
+    :class:`~repro.sim.prefix.PrefixShare` of the untraced, unwarmed,
+    single-core fast-engine jobs.  ``error`` is the exception text of a
+    failed job, and ``wall`` is timed from before the build, so the first
+    job's includes the trace generation and the prefix.  When the group
+    ends, the share's counters are added to ``telemetry``.
     """
-    slot = _worker_slot
-    prefix_runs = slot.prefix.prefix_runs
-    forks = slot.prefix.forks
-    answers = []
-    for job, followers in plan:
-        try:
-            result, wall = _run_planned(slot, job, followers, trace_dir)
-        except Exception as exc:  # noqa: BLE001 — jobs may raise anything
-            answers.append((None, str(exc), 0.0))
-        else:
-            answers.append((result, None, wall))
-    return (
-        answers,
-        slot.prefix.prefix_runs - prefix_runs,
-        slot.prefix.fork_seconds[forks:],
+    share = PrefixShare(
+        job.config for job in jobs
+        if trace_dir is None and not job.threads and can_fork(job.config, job.warmup)
     )
+    traces = None
+    for index in fork_order([share.key(job.config) for job in jobs]):
+        job = jobs[index]
+        started = time.perf_counter()
+        try:
+            if traces is None:
+                traces = _build_traces(job)
+            result = run_job(job, trace_dir, traces=traces, prefix=share)
+        except Exception as exc:  # noqa: BLE001 — jobs may raise anything
+            yield job, None, str(exc), 0.0
+        else:
+            yield job, result, None, time.perf_counter() - started
+    telemetry.prefix_runs += share.prefix_runs
+    telemetry.fork_seconds += share.fork_seconds
+
+
+def _simulate_group(jobs: list[Job], trace_dir: str | None = None):
+    """Pool worker: :func:`_run_group` in one call (module-level: picklable).
+
+    Returns ``(answers, prefix_runs, fork_seconds)``: the group's answers
+    and its share's counters.
+    """
+    counters = CampaignTelemetry()
+    answers = list(_run_group(jobs, trace_dir, counters))
+    return answers, counters.prefix_runs, counters.fork_seconds
+
+
+def _pool_round(groups: list[list[Job]], workers: int, trace_dir: str | None,
+                timeout: float | None, telemetry: CampaignTelemetry):
+    """One round on a process pool, one future per group; yields
+    :func:`_run_group`'s answers, in-process if no pool can be started."""
+    pool = None
+    try:
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(groups)))
+        futures = [pool.submit(_simulate_group, group, trace_dir) for group in groups]
+    except _POOL_UNAVAILABLE:
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        for group in groups:
+            yield from _run_group(group, trace_dir, telemetry)
+        return
+    timed_out = False
+    try:
+        for group, future in zip(groups, futures):
+            try:
+                answers, prefix_runs, fork_seconds = future.result(
+                    timeout=None if timeout is None else timeout * len(group)
+                )
+            except FuturesTimeoutError:
+                timed_out = True
+                future.cancel()
+                error = f"timed out after {timeout}s"
+                answers = [(job, None, error, 0.0) for job in group]
+            except Exception as exc:  # worker crash
+                answers = [(job, None, str(exc), 0.0) for job in group]
+            else:
+                telemetry.prefix_runs += prefix_runs
+                telemetry.fork_seconds += fork_seconds
+            yield from answers
+    finally:
+        # A timed-out worker cannot be joined promptly; abandon it.
+        pool.shutdown(wait=not timed_out, cancel_futures=True)
 
 
 def execute_job(
@@ -332,112 +306,58 @@ def run_campaign(
         record(job, SIMULATED, trace_path=trace_path, wall_time=wall, attempt=attempt)
 
     # --- tier lookups -----------------------------------------------------
-    pending: list[Job] = []
+    # A repeat of a pending cell is held aside and answered with it.
+    pending: dict[str, Job] = {}
+    repeats: list[Job] = []
     for job in jobs:
         if job.key in report.results:  # duplicate cell in the job list
             record(job, MEMORY_HIT)
-            continue
-        memory_before, disk_before = cache.memory_hits, cache.disk_hits
-        hit = cache.lookup(job.key)
-        if hit is not None:
+        elif job.key in pending:
+            repeats.append(job)
+        else:
+            memory_before = cache.memory_hits
+            hit = cache.lookup(job.key)
+            if hit is None:
+                pending[job.key] = job
+                continue
             report.results[job.key] = hit
-            status = MEMORY_HIT if cache.memory_hits > memory_before else DISK_HIT
-            record(job, status)
+            record(job, MEMORY_HIT if cache.memory_hits > memory_before else DISK_HIT)
+
+    # --- rounds of trace groups ---------------------------------------------
+    # Misses run grouped by trace identity, in first-appearance order; a
+    # failed job is regrouped with the others that failed and runs in the
+    # next round.
+    attempts = dict.fromkeys(pending, 0)
+    errors: dict[str, str] = {}
+    groups = _by_trace(pending.values())
+    use_pool = workers > 1 and len(groups) > 1
+    while groups:
+        if use_pool:
+            answers = _pool_round(groups, workers, trace_dir, timeout, telemetry)
         else:
-            pending.append(job)
+            answers = (
+                answer for group in groups
+                for answer in _run_group(group, trace_dir, telemetry)
+            )
+        retry: list[Job] = []
+        with contextlib.closing(answers):  # shuts a round's pool down on error
+            for job, result, error, wall in answers:
+                attempt = attempts[job.key] = attempts[job.key] + 1
+                if error is None:
+                    succeed(job, result, wall, attempt)
+                elif attempt <= retries:
+                    record(job, RETRY, attempt=attempt, error=error)
+                    retry.append(job)
+                else:
+                    errors[job.key] = error
+                    record(job, FAILED, attempt=attempt, error=error)
+        groups = _by_trace(retry)
 
-    # Misses run grouped by trace identity, in first-appearance order, so
-    # the trace memo builds each workload once; within a group, cells that
-    # share a prefix run back to back.
-    groups = _by_trace(pending)
-    slot = TraceSlot()
-
-    def count_prefixes(prefix_runs: int, fork_seconds: list[float]) -> None:
-        telemetry.prefix_runs += prefix_runs
-        telemetry.fork_seconds += fork_seconds
-
-    # --- serial path ------------------------------------------------------
-    def run_serial(serial_groups: Iterable[list[Job]]) -> None:
-        prefix = slot.prefix
-        prefix_runs, forks = prefix.prefix_runs, prefix.forks
-        for group in serial_groups:
-            for job, followers in fork_plan(group):
-                for attempt in range(1, retries + 2):
-                    try:
-                        result, wall = _run_planned(slot, job, followers, trace_dir)
-                    except Exception as exc:  # noqa: BLE001 — jobs may raise anything
-                        if attempt <= retries:
-                            record(job, RETRY, attempt=attempt, error=str(exc))
-                        else:
-                            record(job, FAILED, attempt=attempt, error=str(exc))
-                    else:
-                        succeed(job, result, wall, attempt)
-                        break
-        count_prefixes(
-            prefix.prefix_runs - prefix_runs, prefix.fork_seconds[forks:]
-        )
-
-    # --- parallel path ----------------------------------------------------
-    def run_parallel(parallel_groups: list[list[Job]]) -> None:
-        remaining: dict[str, Job] = {
-            job.key: job for group in parallel_groups for job in group
-        }
-        attempts: dict[str, int] = {job.key: 0 for job in remaining.values()}
-        while remaining:
-            round_groups = _by_trace(remaining.values())
-            timed_out = False
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(workers, len(round_groups)),
-                    initializer=_init_worker,
-                )
-            except _POOL_UNAVAILABLE:
-                run_serial(round_groups)
-                return
-            try:
-                futures = {}
-                for group in round_groups:
-                    plan = fork_plan(group)
-                    futures[pool.submit(_simulate_group, plan, trace_dir)] = plan
-                for future, plan in futures.items():
-                    for job, _ in plan:
-                        attempts[job.key] += 1
-                    try:
-                        answers, prefix_runs, fork_seconds = future.result(
-                            timeout=None if timeout is None else timeout * len(plan)
-                        )
-                    except FuturesTimeoutError:
-                        timed_out = True
-                        future.cancel()
-                        answers = [
-                            (None, f"timed out after {timeout}s", 0.0)
-                        ] * len(plan)
-                    except Exception as exc:  # worker crash
-                        answers = [(None, str(exc), 0.0)] * len(plan)
-                    else:
-                        count_prefixes(prefix_runs, fork_seconds)
-                    for (job, _), (result, error, wall) in zip(plan, answers):
-                        if error is None:
-                            remaining.pop(job.key, None)
-                            succeed(job, result, wall, attempts[job.key])
-                        else:
-                            _fail_or_retry(record, remaining, job,
-                                           attempts[job.key], retries, error)
-            except _POOL_UNAVAILABLE:
-                pool.shutdown(wait=False, cancel_futures=True)
-                run_serial(_by_trace(remaining.values()))
-                return
-            finally:
-                # A timed-out worker cannot be joined promptly; abandon it.
-                pool.shutdown(wait=not timed_out, cancel_futures=True)
-
-    try:
-        if workers <= 1 or len(groups) <= 1:
-            run_serial(groups)
+    for job in repeats:
+        if job.key in report.results:
+            record(job, MEMORY_HIT)
         else:
-            run_parallel(groups)
-    finally:
-        slot.clear()  # no trace or snapshot outlives the campaign
+            record(job, FAILED, error=errors[job.key])
     return report
 
 
@@ -447,12 +367,3 @@ def _by_trace(jobs: Iterable[Job]) -> list[list[Job]]:
     for job in jobs:
         groups.setdefault(job.trace_identity, []).append(job)
     return list(groups.values())
-
-
-def _fail_or_retry(record, remaining: dict[str, Job], job: Job, attempt: int,
-                   retries: int, error: str) -> None:
-    if attempt <= retries:
-        record(job, RETRY, attempt=attempt, error=error)
-    else:
-        remaining.pop(job.key, None)
-        record(job, FAILED, attempt=attempt, error=error)

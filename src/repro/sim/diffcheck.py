@@ -54,7 +54,7 @@ from repro.core.policies import SpbPrefetch
 from repro.isa.trace import Trace
 from repro.isa.uop import MicroOp, OpKind
 from repro.multicore.system import MulticoreSystem
-from repro.sim.prefix import PrefixSlot, fork_order, prefix_key
+from repro.sim.prefix import PrefixShare, fork_order
 from repro.sim.runner import simulate
 from repro.trace import CollectorSink, Tracer, events_digest, shadow_registry_for
 from repro.workloads.parsec import parsec
@@ -450,19 +450,18 @@ def run_group_case(case: GroupDiffCase) -> DiffReport:
     """Run ``case``'s cells as one forked group; diff each with the reference.
 
     Cells run in :func:`~repro.sim.prefix.fork_order` through one
-    :class:`~repro.sim.prefix.PrefixSlot`, as a campaign runs a trace
+    :class:`~repro.sim.prefix.PrefixShare`, as a campaign runs a trace
     group.  Beyond the full result trees, the group must simulate exactly
     one prefix per key shared by several cells and leave no snapshot.
     """
     trace = case.build_trace()
     configs = [config.with_engine("fast") for config in case.configs]
-    keys = [prefix_key(config) for config in configs]
-    slot = PrefixSlot()
+    share = PrefixShare(configs)
+    keys = [share.key(config) for config in configs]
     problems: list[str] = []
-    for index, followers in fork_order(keys):
+    for index in fork_order(keys):
         config = configs[index]
-        slot.followers = followers
-        forked = simulate(trace, config, seed=case.sim_seed, prefix=slot)
+        forked = simulate(trace, config, seed=case.sim_seed, prefix=share)
         reference = simulate(
             trace, config.with_engine("reference"), seed=case.sim_seed
         )
@@ -473,9 +472,9 @@ def run_group_case(case: GroupDiffCase) -> DiffReport:
         )
         problems += [f"{label}: {p}" for p in compare_results(reference, forked)]
     shared = sum(1 for key in set(keys) if keys.count(key) > 1)
-    if slot.prefix_runs != shared:
-        problems.append(f"{slot.prefix_runs} prefix run(s) for {shared} shared key(s)")
-    if slot.holds_snapshot():
+    if share.prefix_runs != shared:
+        problems.append(f"{share.prefix_runs} prefix run(s) for {shared} shared key(s)")
+    if share.holds_snapshot():
         problems.append("a snapshot outlived its group")
     return DiffReport(case=case, problems=problems)
 

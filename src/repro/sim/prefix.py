@@ -8,8 +8,9 @@ stores, which occur from the first mispredict on, so it keeps its policy).
 Every such cell therefore simulates the same cycles up to its trace's
 first store.
 
-A :class:`PrefixSlot` simulates that shared prefix once.  The first cell
-of a prefix key runs :meth:`FastPipeline.run
+A :class:`PrefixShare`, built from the configs of one trace's forkable
+cells, simulates that shared prefix once per key.  The first cell of a
+prefix key runs :meth:`FastPipeline.run
 <repro.sim.fastpath.FastPipeline.run>` to the *fork point* (the top of the
 first cycle with ``ip + width > first_store``), leaves a deep copy there,
 and runs on to its end.  Each later cell with the same key copies that
@@ -25,8 +26,9 @@ import copy
 import hashlib
 import json
 import time
+from collections import Counter
 from dataclasses import asdict
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.config.system import StorePrefetchPolicy, SystemConfig
 from repro.core.policies import (
@@ -93,21 +95,16 @@ def prefix_key(config: SystemConfig) -> str:
     return hashlib.sha256(digest).hexdigest()[:16]
 
 
-def fork_order(keys: Sequence[str | None]) -> list[tuple[int, int]]:
-    """Run order for cells with these prefix keys, with each one's followers.
+def fork_order(keys: Sequence[str | None]) -> list[int]:
+    """Run order for cells with these prefix keys, as indices into ``keys``.
 
-    Cells sharing a key run back to back, keys in first-appearance order;
-    each cell is paired (by index into ``keys``) with the number of later
-    cells that will fork from its prefix.  A ``None`` key never forks.
+    Cells sharing a key run back to back, keys in first-appearance order.
+    A ``None`` key never forks.
     """
     runs: dict[str | int, list[int]] = {}
     for index, key in enumerate(keys):
         runs.setdefault(index if key is None else key, []).append(index)
-    return [
-        (index, len(indices) - position - 1)
-        for indices in runs.values()
-        for position, index in enumerate(indices)
-    ]
+    return [index for indices in runs.values() for index in indices]
 
 
 def retarget(pipeline: Pipeline, config: SystemConfig) -> None:
@@ -135,14 +132,15 @@ def retarget(pipeline: Pipeline, config: SystemConfig) -> None:
     pipeline.sq_unbounded = pipeline.engine.unbounded_sb
 
 
-class PrefixSlot:
-    """At most one paused run, shared by the cells of one prefix key.
+class PrefixShare:
+    """The pre-store prefixes of one trace, shared by its forkable cells.
 
-    The owner sets :attr:`followers` before each run to the number of later
-    runs that will ask for the same (trace, seed, prefix key).  With
-    followers left, :meth:`simulate` keeps a snapshot at the fork point
-    (simulating the prefix if no matching snapshot exists); with none, the
-    run takes the snapshot itself and the slot empties.
+    Built from the configs of every cell that will run through it, the
+    share counts per :func:`prefix_key` how many cells are still to run.
+    While others remain, :meth:`simulate` keeps a snapshot per (key, seed)
+    at the fork point (simulating the prefix if none exists yet); the last
+    cell of a key takes the snapshot itself.  A share serves one trace and
+    refuses a second.
 
     A storeless trace never reaches a fork point: the prefix is the whole
     run, so the snapshot is the finished run and each later cell only
@@ -152,22 +150,25 @@ class PrefixSlot:
     copy cost.
     """
 
-    def __init__(self) -> None:
-        self.followers = 0
+    def __init__(self, configs: Iterable[SystemConfig]) -> None:
+        configs = list(configs)
+        self._keys = {config: prefix_key(config) for config in set(configs)}
+        self._remaining = Counter(self._keys[config] for config in configs)
+        self._snapshots: dict[tuple[str, int], Pipeline] = {}
+        self._trace: Trace | None = None
         self.prefix_runs = 0
         self.fork_seconds: list[float] = []  # one entry per snapshot copy
-        self._snapshot: Pipeline | None = None
-        self._identity: tuple | None = None
 
     @property
     def forks(self) -> int:
         return len(self.fork_seconds)
 
-    def holds_snapshot(self) -> bool:
-        return self._snapshot is not None
+    def key(self, config: SystemConfig) -> str | None:
+        """``config``'s prefix key, or ``None`` if it is not one of the cells."""
+        return self._keys.get(config)
 
-    def clear(self) -> None:
-        self._snapshot = self._identity = None
+    def holds_snapshot(self) -> bool:
+        return bool(self._snapshots)
 
     def _copy(self, pipeline: Pipeline) -> Pipeline:
         started = time.perf_counter()
@@ -177,31 +178,37 @@ class PrefixSlot:
 
     def simulate(self, trace: Trace, config: SystemConfig, seed: int) -> SimResult:
         """The result of ``config`` on ``trace``, forked where possible."""
-        identity = (prefix_key(config), seed)
-        snapshot = self._snapshot
-        followers = self.followers
-        if snapshot is None or snapshot.trace is not trace or identity != self._identity:
-            self.clear()
+        if self._trace is None:
+            self._trace = trace
+        elif trace is not self._trace:
+            raise ValueError("a PrefixShare serves the cells of one trace")
+        key = self._keys.get(config)
+        if key is None:
+            raise ValueError("config is not one of the share's cells")
+        self._remaining[key] -= 1
+        last = self._remaining[key] <= 0
+        identity = (key, seed)
+        snapshot = (
+            self._snapshots.pop(identity, None) if last else self._snapshots.get(identity)
+        )
+        if snapshot is None:
             pipeline = new_pipeline(trace, config, seed)
-            if followers <= 0:
+            if last:
                 pipeline.run()
                 return result_of(pipeline)
             fork_at = first_store(trace)
             pipeline.run(pause_before=fork_at if fork_at < len(trace) else None)
             self.prefix_runs += 1
-            self._identity = identity
             if pipeline.done():  # storeless: the finished run is the snapshot
-                self._snapshot = pipeline
+                self._snapshots[identity] = pipeline
                 return copy.deepcopy(result_of(pipeline))
-            self._snapshot = self._copy(pipeline)
+            self._snapshots[identity] = self._copy(pipeline)
+        elif snapshot.done():
+            retarget(snapshot, config)
+            result = result_of(snapshot)
+            return result if last else copy.deepcopy(result)
         else:
-            if followers <= 0:
-                self.clear()
-            if snapshot.done():
-                retarget(snapshot, config)
-                result = result_of(snapshot)
-                return copy.deepcopy(result) if followers > 0 else result
-            pipeline = self._copy(snapshot) if followers > 0 else snapshot
+            pipeline = snapshot if last else self._copy(snapshot)
             retarget(pipeline, config)
         pipeline.run()
         return result_of(pipeline)

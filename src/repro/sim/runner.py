@@ -26,7 +26,7 @@ from repro.memory.tlb import TLBStats
 from repro.multicore.system import MulticoreResult, MulticoreSystem
 from repro.prefetch.stats import PrefetchOutcomeTracker
 from repro.sim.fastpath import pipeline_class
-from repro.sim.prefix import PrefixSlot, can_fork
+from repro.sim.prefix import PrefixShare, can_fork
 from repro.sim.single import new_system, result_of
 from repro.stats.result import SimResult
 
@@ -90,7 +90,7 @@ def _attach_tracer(tracer, hierarchy: MemoryHierarchy, engine) -> None:
 
 def simulate(
     trace: Trace, config: SystemConfig, seed: int = 7, warmup: int = 0,
-    tracer=None, *, prefix: PrefixSlot | None = None,
+    tracer=None, *, prefix: PrefixShare | None = None,
 ) -> SimResult:
     """Run ``trace`` on the machine described by ``config``.
 
@@ -100,8 +100,8 @@ def simulate(
     :class:`repro.trace.Tracer`, or ``None`` for zero-overhead silence)
     observes the measured portion only, mirroring the counters.
 
-    ``prefix`` lets consecutive runs of ``trace`` share their pre-store
-    prefix (:mod:`repro.sim.prefix`); runs that
+    ``prefix`` lets the cells of ``trace`` it was built for share their
+    pre-store prefix (:mod:`repro.sim.prefix`); runs that
     :func:`~repro.sim.prefix.can_fork` rejects ignore it.  The result is
     the same either way.
     """
@@ -235,20 +235,21 @@ class ResultsCache:
     ) -> SimResult:
         """The run of ``trace_factory(name, ...)`` on ``config``, memoised.
 
-        The key names the factory by its registered workload kind
-        (:meth:`repro.campaign.Campaign.kind_for_factory`), as a campaign
-        job's key does, so the two share entries.
+        The cell becomes a campaign :class:`~repro.campaign.job.Job`, named
+        by the factory's registered workload kind
+        (:meth:`repro.campaign.Campaign.kind_for_factory`), and goes through
+        :func:`~repro.campaign.executor.execute_job`, so the two share
+        entries and the path to the cache tiers.
         """
-        from repro.campaign.job import Campaign  # the campaign layer imports us
+        # The campaign layer imports us.
+        from repro.campaign.executor import execute_job
+        from repro.campaign.job import Campaign, Job
 
-        kind = Campaign.kind_for_factory(trace_factory)
-        key = result_key(name, length, seed, config, warmup, kind)
-        result = self.lookup(key)
-        if result is None:
-            trace = trace_factory(name, length=length, seed=seed)
-            result = simulate(trace, config, warmup=warmup)
-            self.insert(key, result)
-        return result
+        job = Job(
+            workload=name, length=length, config=config, seed=seed,
+            warmup=warmup, workload_kind=Campaign.kind_for_factory(trace_factory),
+        )
+        return execute_job(job, cache=self)
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot for session summaries."""

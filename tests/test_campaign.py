@@ -222,20 +222,34 @@ class TestResultsCacheTiers:
 
 
 class TestRunCampaign:
-    def matrix(self):
+    def matrix(self, engine=None):
         return Campaign.matrix(
             ["gcc", "bwaves"], policies=["at-commit", "spb"],
-            sb_sizes=[14], length=LENGTH,
+            sb_sizes=[14], length=LENGTH, engine=engine,
         )
 
-    def test_parallel_equals_serial(self):
-        campaign = self.matrix()
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_parallel_equals_serial(self, engine):
+        campaign = self.matrix(engine)
         serial = run_campaign(campaign, max_workers=1)
         parallel = run_campaign(campaign, max_workers=2)
         assert serial.ok and parallel.ok
         assert set(serial.results) == set(parallel.results)
         for key, result in serial.results.items():
             assert parallel.results[key] == result  # bit-identical trees
+        for counter in ("simulated", "prefix_runs", "forks"):
+            assert getattr(serial.telemetry, counter) == getattr(
+                parallel.telemetry, counter
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeated_cell_is_simulated_once(self, workers):
+        job, other = small_job(), small_job(app="bwaves")
+        report = run_campaign([job, job, other], max_workers=workers)
+        assert report.ok and report.telemetry.simulated == 2
+        assert report.telemetry.completed == report.telemetry.total == 3
+        assert [o.job.key for o in report.outcomes].count(job.key) == 2
+        assert report.get(job) == run_job(job)
 
     def test_serial_matches_direct_simulate(self):
         campaign = self.matrix()
@@ -408,7 +422,7 @@ class TestTraceReuse:
         first = [e.status for e in events if e.job_key == jobs[0].key]
         assert first == [RETRY, SIMULATED]
         assert report.telemetry.retries == 1
-        assert len(calls) == len(self.APPS) + 1
+        assert len(calls) == len(self.APPS) + 2
 
     def test_no_reuse_outside_a_campaign(self):
         calls = []
@@ -511,17 +525,17 @@ class TestPrefixSharing:
         assert policies[:6] == ["at-commit"] * 2 + ["spb"] * 2 + ["at-execute"] * 2
 
     def test_no_snapshot_outlives_the_campaign(self, monkeypatch):
-        from repro.sim.prefix import PrefixSlot
+        from repro.sim.prefix import PrefixShare
 
         copies = []
-        original = PrefixSlot._copy
+        original = PrefixShare._copy
 
         def recording_copy(slot, pipeline):
             clone = original(slot, pipeline)
             copies.append(weakref.ref(clone))
             return clone
 
-        monkeypatch.setattr(PrefixSlot, "_copy", recording_copy)
+        monkeypatch.setattr(PrefixShare, "_copy", recording_copy)
         report = run_campaign(self.jobs(), max_workers=1)
         assert report.ok and copies
         assert all(ref() is None for ref in copies)
@@ -571,6 +585,7 @@ class TestPoolGroups:
         generated = sorted(name.split("-")[0] for name in os.listdir(tmp_path))
         assert generated == sorted(TestPrefixSharing.APPS)
         assert report.telemetry.prefix_runs == 2 * len(TestPrefixSharing.APPS)
+        assert report.telemetry.forks == 3 + 1
         for job in jobs:
             assert report.get(job) == run_job(job)
 

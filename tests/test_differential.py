@@ -48,7 +48,7 @@ from repro.sim.diffcheck import (
     run_group_case,
     shrink_case,
 )
-from repro.sim.prefix import PrefixSlot
+from repro.sim.prefix import PrefixShare
 from repro.sim.runner import simulate
 from repro.trace import CollectorSink, Tracer
 from repro.workloads.spec import spec2017
@@ -286,10 +286,8 @@ class TestForkGuards:
         return spec2017("bwaves", length=self.TRACE_LENGTH, seed=1)
 
     @staticmethod
-    def slot_expecting_followers() -> PrefixSlot:
-        slot = PrefixSlot()
-        slot.followers = 3
-        return slot
+    def slot_expecting_followers() -> PrefixShare:
+        return PrefixShare([SystemConfig.skylake().with_engine("fast")] * 4)
 
     def test_fast_run_with_followers_forks(self, trace):
         slot = self.slot_expecting_followers()
@@ -316,11 +314,10 @@ class TestForkGuards:
         simulate(trace, SystemConfig.skylake(), prefix=slot)
         assert slot.prefix_runs == 0 and not slot.holds_snapshot()
 
-    def test_other_trace_releases_the_snapshot(self, trace):
+    def test_other_trace_is_refused(self, trace):
         slot = self.slot_expecting_followers()
         config = SystemConfig.skylake().with_engine("fast")
         simulate(trace, config, prefix=slot)
         other = spec2017("roms", length=self.TRACE_LENGTH, seed=1)
-        slot.followers = 0
-        assert simulate(other, config, prefix=slot) == simulate(other, config)
-        assert not slot.holds_snapshot()
+        with pytest.raises(ValueError, match="one trace"):
+            simulate(other, config, prefix=slot)

@@ -76,10 +76,10 @@ class TestPrefixKey:
 class TestForkOrder:
     def test_shared_keys_run_back_to_back(self):
         order = fork_order(["a", "b", "a", None, "b", "a"])
-        assert order == [(0, 2), (2, 1), (5, 0), (1, 1), (4, 0), (3, 0)]
+        assert order == [0, 2, 5, 1, 4, 3]
 
     def test_none_never_forks(self):
-        assert fork_order([None, None]) == [(0, 0), (1, 0)]
+        assert fork_order([None, None]) == [0, 1]
 
 
 class TestPauseAndResume:
