@@ -11,7 +11,8 @@ applications at small SB sizes.
 from dataclasses import replace
 
 from conftest import emit, geomean, ideal_run
-from repro import ResultsCache, SystemConfig, spec2017
+from repro import ResultsCache, SystemConfig
+from repro.campaign import Job, execute_job
 from repro.workloads import SB_BOUND_SPEC
 
 LENGTH = 30_000
@@ -21,7 +22,8 @@ _cache = ResultsCache()
 def _perf(app, policy, sb, coalescing):
     config = SystemConfig.skylake(sb_entries=sb, store_prefetch=policy)
     config = replace(config, core=replace(config.core, sb_coalescing=coalescing))
-    run = _cache.get(spec2017, app, LENGTH, config)
+    run = execute_job(Job(workload=app, length=LENGTH, config=config),
+                      cache=_cache)
     return ideal_run(app).cycles / run.cycles
 
 

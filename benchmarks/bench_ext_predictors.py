@@ -10,7 +10,8 @@ mispredictions are produced.
 from dataclasses import replace
 
 from conftest import emit, geomean
-from repro import ResultsCache, SystemConfig, spec2017
+from repro import ResultsCache, SystemConfig
+from repro.campaign import Job, execute_job
 
 APPS = ("bwaves", "x264", "roms")
 LENGTH = 30_000
@@ -21,7 +22,8 @@ def _run(app, policy, sb, predictor):
     config = SystemConfig.skylake(sb_entries=sb, store_prefetch=policy)
     config = replace(config, core=replace(config.core,
                                           branch_predictor=predictor))
-    return _cache.get(spec2017, app, LENGTH, config)
+    return execute_job(Job(workload=app, length=LENGTH, config=config),
+                       cache=_cache)
 
 
 def build_predictor_study():

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro import ResultsCache, SystemConfig, simulate_multicore, parsec, spec2017
+from repro import ResultsCache, SystemConfig
 from repro.campaign import Job, ResultStore, execute_job
 from repro.config.system import CachePrefetcherKind, SpbConfig, StorePrefetchPolicy
 from repro.sim.sweep import geomean
@@ -41,7 +41,6 @@ _store = (
     None if os.environ.get("REPRO_NO_DISK_CACHE") else ResultStore(CACHE_DIR)
 )
 _spec_cache = ResultsCache(store=_store)
-_parsec_cache: dict[tuple, object] = {}
 
 
 def spec_run(
@@ -74,17 +73,13 @@ def ideal_run(app: str, *, prefetcher: str = "stream", preset: str | None = None
 
 
 def parsec_run(app: str, policy: str, sb: int):
-    """One cached 8-core PARSEC run."""
-    key = (app, policy, sb, PARSEC_THREADS, PARSEC_LENGTH)
-    result = _parsec_cache.get(key)
-    if result is None:
-        traces = parsec(app, threads=PARSEC_THREADS, length=PARSEC_LENGTH)
-        config = SystemConfig.skylake(
-            sb_entries=sb, store_prefetch=policy, num_cores=PARSEC_THREADS
-        )
-        result = simulate_multicore(traces, config)
-        _parsec_cache[key] = result
-    return result
+    """One cached 8-core PARSEC run, routed through the campaign engine."""
+    config = SystemConfig.skylake(
+        sb_entries=sb, store_prefetch=policy, num_cores=PARSEC_THREADS
+    )
+    job = Job(workload=app, length=PARSEC_LENGTH, config=config,
+              workload_kind="parsec", threads=PARSEC_THREADS)
+    return execute_job(job, cache=_spec_cache)
 
 
 def perf_vs_ideal(app: str, policy: str, sb: int, **kwargs) -> float:

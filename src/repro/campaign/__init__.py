@@ -36,7 +36,6 @@ from repro.campaign.store import (
     decode_result,
     encode_multicore_result,
     encode_result,
-    multicore_result_key,
 )
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "encode_result",
     "execute_job",
     "load_manifest",
-    "multicore_result_key",
     "register_workload",
     "run_campaign",
     "run_job",

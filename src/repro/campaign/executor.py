@@ -124,9 +124,11 @@ def _run_group(
     is that job's failed attempt, and the next job builds again.  Jobs run
     in :func:`~repro.sim.prefix.fork_order` through one
     :class:`~repro.sim.prefix.PrefixShare` of the untraced, unwarmed,
-    single-core fast-engine jobs.  ``error`` is the exception text of a
-    failed job, and ``wall`` is timed from before the build, so the first
-    job's includes the trace generation and the prefix.  When the group
+    single-core fast-engine jobs; a job that fails before the share counts
+    it off is released from it, so the key's last surviving cell still
+    takes the snapshot.  ``error`` is the exception text of a failed job,
+    and ``wall`` is timed from before the build, so the first job's
+    includes the trace generation and the prefix.  When the group
     ends, the share's counters are added to ``telemetry``.
     """
     share = PrefixShare(
@@ -136,12 +138,15 @@ def _run_group(
     traces = None
     for index in fork_order([share.key(job.config) for job in jobs]):
         job = jobs[index]
+        remaining = share.remaining(job.config)
         started = time.perf_counter()
         try:
             if traces is None:
                 traces = _build_traces(job)
             result = run_job(job, trace_dir, traces=traces, prefix=share)
         except Exception as exc:  # noqa: BLE001 — jobs may raise anything
+            if share.remaining(job.config) == remaining:
+                share.release(job.config)  # it failed before the share
             yield job, None, str(exc), 0.0
         else:
             yield job, result, None, time.perf_counter() - started
@@ -204,8 +209,9 @@ def execute_job(
 ) -> SimResult:
     """One job through the cache tiers — the single-cell engine entry.
 
-    ``benchmarks/conftest.py`` routes ``spec_run`` through this so ad-hoc
-    figure cells share tiers and counters with full campaigns.
+    ``benchmarks/conftest.py`` routes ``spec_run`` and ``parsec_run``
+    through this so ad-hoc figure cells share tiers and counters with full
+    campaigns.
     """
     if cache is None:
         cache = ResultsCache(store=store)

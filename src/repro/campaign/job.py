@@ -1,17 +1,19 @@
 """Declarative job specs and campaign matrices.
 
 A :class:`Job` names everything one single-core simulation needs — the
-workload (by registered factory kind), trace length/seed, warm-up and the
-full :class:`~repro.config.system.SystemConfig` — and derives a
-deterministic content key from it, so identical jobs collide in the result
-store no matter which process or session produced them.  A
+workload (by registered factory kind, the only name a workload has), trace
+length/seed, warm-up and the full :class:`~repro.config.system.SystemConfig`
+— and derives a deterministic content key from it (:attr:`Job.key`, the one
+definition of a result key), so identical jobs collide in the result store
+no matter which process or session produced them.  A
 :class:`Campaign` is an ordered set of jobs, usually built by expanding an
 apps × policies × SB-sizes × prefetchers matrix.
 """
 
 from __future__ import annotations
 
-import sys
+import hashlib
+import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
@@ -20,9 +22,7 @@ from repro.config.system import (
     StorePrefetchPolicy,
     SystemConfig,
 )
-from repro.campaign.store import multicore_result_key
 from repro.isa.trace import Trace
-from repro.sim.runner import result_key
 from repro.workloads import parsec, spec2017
 
 #: Workload factories jobs may reference by name.  Factories must be
@@ -75,7 +75,16 @@ class Job:
 
     @property
     def key(self) -> str:
-        """Deterministic content key (shared with :class:`ResultsCache`).
+        """Deterministic content key: ``<kind>-<name>-<shape>-<digest>``.
+
+        Traces are deterministic functions of the workload kind, the name
+        and the shape: ``L{length}-s{seed}-w{warmup}`` for a single-core
+        run, ``T{threads}-L{length}-s{seed}`` for a multicore one (no
+        warm-up; the ``T`` keeps the two disjoint).  Two kinds may reuse a
+        name, so the kind leads.  The digest hashes every part together
+        with ``config.cache_key()``, so no choice of names can make two
+        runs' keys collide.  Both cache tiers (:class:`ResultsCache
+        <repro.sim.runner.ResultsCache>` and the on-disk store) key by it.
 
         Hashing the config costs a JSON dump, so the key is computed once
         and memoised on the (frozen) instance.
@@ -85,15 +94,13 @@ class Job:
         except KeyError:
             pass
         if self.threads:
-            key = multicore_result_key(
-                self.workload, self.threads, self.length, self.seed, self.config,
-                self.workload_kind,
-            )
+            shape = f"T{self.threads}-L{self.length}-s{self.seed}"
         else:
-            key = result_key(
-                self.workload, self.length, self.seed, self.config, self.warmup,
-                self.workload_kind,
-            )
+            shape = f"L{self.length}-s{self.seed}-w{self.warmup}"
+        kind, name = self.workload_kind, self.workload
+        parts = json.dumps([kind, name, shape, self.config.cache_key()])
+        digest = hashlib.sha256(parts.encode()).hexdigest()[:16]
+        key = f"{kind}-{name}-{shape}-{digest}"
         object.__setattr__(self, "_key", key)
         return key
 
@@ -146,33 +153,6 @@ class Campaign:
 
     def __iter__(self) -> Iterator[Job]:
         return iter(self.jobs)
-
-    @staticmethod
-    def kind_for_factory(factory: Callable[..., Trace]) -> str:
-        """Map a factory callable back to its registered kind.
-
-        An unregistered factory is registered under its ``module.qualname``
-        when that path resolves back to the same object, which makes the
-        kind unique.  Lambdas, nested functions and partials have no such
-        path (two lambdas would share the name ``<lambda>`` and each other's
-        results), so they raise ``ValueError``: register them first.
-        """
-        for kind, known in _FACTORIES.items():
-            if known is factory:
-                return kind
-        module = sys.modules.get(getattr(factory, "__module__", None) or "")
-        qualname = getattr(factory, "__qualname__", "")
-        target = module
-        for part in qualname.split("."):
-            target = getattr(target, part, None)
-        if module is None or target is not factory:
-            raise ValueError(
-                f"workload factory {factory!r} has no importable name; give "
-                "it a kind with repro.campaign.register_workload(kind, factory)"
-            )
-        kind = f"{module.__name__}.{qualname}"
-        register_workload(kind, factory)
-        return kind
 
     @classmethod
     def matrix(

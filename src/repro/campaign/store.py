@@ -30,7 +30,6 @@ from repro.memory.hierarchy import TrafficStats
 from repro.memory.mshr import MSHRStats
 from repro.multicore.system import MulticoreResult
 from repro.prefetch.stats import PrefetchOutcomes
-from repro.sim.runner import run_key
 from repro.stats.counters import PipelineStats, StallBreakdown
 from repro.stats.result import SimResult
 from repro.stats.topdown import TopDownMetrics
@@ -59,22 +58,6 @@ _TYPES: dict[str, type] = {
         EnergyBreakdown,
     )
 }
-
-
-def multicore_result_key(
-    name: str, threads: int, length: int, seed: int, config,
-    kind: str = "parsec",
-) -> str:
-    """Canonical content key of one multicore run.
-
-    The multicore analogue of :func:`repro.sim.runner.result_key`: traces
-    are deterministic functions of the factory ``kind`` and (name, threads,
-    per-thread length, seed), so together with ``config.cache_key()`` the
-    string identifies the run completely.  Multicore runs have no warm-up
-    phase, hence no ``w`` component; the ``T`` component keeps multicore
-    keys disjoint from single-core ones.
-    """
-    return run_key(kind, name, f"T{threads}-L{length}-s{seed}", config)
 
 
 class ResultCodecError(ValueError):

@@ -20,7 +20,7 @@ import sys
 from repro import SystemConfig, parsec, simulate, simulate_multicore, spec2017
 from repro.analysis.report import compile_report
 from repro.analysis.tables import ascii_bar_chart, format_table
-from repro.config.system import SIM_ENGINES, StorePrefetchPolicy
+from repro.config.system import SIM_ENGINES, CachePrefetcherKind, StorePrefetchPolicy
 from repro.isa.serialize import load_trace, save_trace
 from repro.workloads import parsec_names, spec2017_names
 from repro.workloads.parsec import PARSEC_APPS
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=[p.value for p in StorePrefetchPolicy])
     run.add_argument("--sb", type=int, default=56, help="store-buffer entries")
     run.add_argument("--prefetcher", default="stream",
-                     choices=("none", "stream", "aggressive", "adaptive"))
+                     choices=[p.value for p in CachePrefetcherKind])
     run.add_argument("--engine", default="reference", choices=SIM_ENGINES,
                      help="execution engine; 'fast' is the cycle-skipping "
                           "engine proven bit-identical by the differential "
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     multicore.add_argument("--sb", type=int, default=56,
                            help="store-buffer entries per core")
     multicore.add_argument("--prefetcher", default="stream",
-                           choices=("none", "stream", "aggressive", "adaptive"))
+                           choices=[p.value for p in CachePrefetcherKind])
     multicore.add_argument("--engine", default="reference", choices=SIM_ENGINES,
                            help="execution engine; 'fast' is the event-heap "
                                 "scheduler with cross-core cycle skipping, "

@@ -17,7 +17,6 @@ from repro.sim.diffcheck import (
 from repro.sim.fastpath import ENGINE_CLASSES, FastPipeline, pipeline_class
 from repro.sim.runner import (
     ResultsCache,
-    result_key,
     simulate,
     simulate_multicore,
     split_warmup,
@@ -33,7 +32,6 @@ __all__ = [
     "simulate",
     "simulate_multicore",
     "ResultsCache",
-    "result_key",
     "split_warmup",
     "ENGINE_CLASSES",
     "FastPipeline",

@@ -170,6 +170,24 @@ class PrefixShare:
     def holds_snapshot(self) -> bool:
         return bool(self._snapshots)
 
+    def remaining(self, config: SystemConfig) -> int:
+        """How many cells of ``config``'s prefix key are still to run."""
+        key = self._keys.get(config)
+        return 0 if key is None else self._remaining[key]
+
+    def release(self, config: SystemConfig) -> None:
+        """Count off a cell of ``config`` that failed before :meth:`simulate`.
+
+        When that was its key's last cell, the key's snapshots go too.
+        """
+        key = self._keys.get(config)
+        if key is None:
+            return
+        self._remaining[key] -= 1
+        if self._remaining[key] <= 0:
+            for identity in [i for i in self._snapshots if i[0] == key]:
+                del self._snapshots[identity]
+
     def _copy(self, pipeline: Pipeline) -> Pipeline:
         started = time.perf_counter()
         clone = copy.deepcopy(pipeline)

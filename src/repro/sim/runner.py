@@ -3,15 +3,13 @@
 ``simulate`` runs one workload trace through one system configuration and
 returns a :class:`SimResult`; ``simulate_multicore`` does the same for a
 multi-threaded workload.  Because every experiment in the paper compares the
-same workloads across many configurations, an in-process :class:`ResultsCache`
-memoises runs by (trace identity, configuration) so benchmark files can share
-work.
+same workloads across many configurations, :class:`ResultsCache` memoises
+runs by content key (:attr:`repro.campaign.Job.key`) so benchmark files can
+share work.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Sequence
 
 from repro.config.system import SystemConfig
@@ -131,53 +129,20 @@ def simulate_multicore(
     config: SystemConfig,
     seed: int = 7,
     tracer=None,
-    engine: str | None = None,
 ) -> MulticoreResult:
     """Run one per-core trace each on a coherent multi-core system.
 
-    ``engine`` overrides ``config.engine`` for this run ("reference" or
-    "fast"); the choice never changes results — the multicore differential
-    matrix proves the event-heap scheduler bit-identical to the lockstep
-    oracle — only how quickly they arrive.
+    ``config.engine`` picks the scheduler ("reference" or "fast"); the
+    choice never changes results — the multicore differential matrix
+    proves the event-heap scheduler bit-identical to the lockstep oracle —
+    only how quickly they arrive.
     """
-    if engine is not None:
-        config = config.with_engine(engine)
     system = MulticoreSystem(config, list(traces), seed=seed, tracer=tracer)
     return system.run()
 
 
-def result_key(
-    name: str, length: int, seed: int, config: SystemConfig, warmup: int = 0,
-    kind: str = "spec2017",
-) -> str:
-    """Canonical content key of one single-core run.
-
-    Workload traces are deterministic functions of the factory ``kind``
-    and ``(name, length, seed)``, so together with ``config.cache_key()``
-    (a stable hash of the whole machine description) the string identifies
-    the run completely.  Two kinds may use the same workload name for
-    different traces, so the kind is part of the key.  The readable fields
-    lead; the trailing digest covers all of them, so no choice of names can
-    make two runs' keys collide.  Both the in-process
-    :class:`ResultsCache` and the on-disk result store in
-    :mod:`repro.campaign` key by it, so the two tiers share entries.
-    """
-    return run_key(kind, name, f"L{length}-s{seed}-w{warmup}", config)
-
-
-def run_key(kind: str, name: str, shape: str, config: SystemConfig) -> str:
-    """``<kind>-<name>-<shape>-<digest>``: the store key of one run.
-
-    ``shape`` holds the run's other trace and phase parameters; the digest
-    hashes every part together with ``config.cache_key()``.
-    """
-    parts = json.dumps([kind, name, shape, config.cache_key()])
-    digest = hashlib.sha256(parts.encode()).hexdigest()[:16]
-    return f"{kind}-{name}-{shape}-{digest}"
-
-
 class ResultsCache:
-    """Two-tier memoisation of single-core runs.
+    """Two-tier memoisation of runs by content key.
 
     The first tier is an in-process dictionary; an optional second tier is a
     persistent on-disk store (any object with ``load(key)``/``save(key,
@@ -223,33 +188,6 @@ class ResultsCache:
         self._results[key] = result
         if self.store is not None:
             self.store.save(key, result)
-
-    def get(
-        self,
-        trace_factory,
-        name: str,
-        length: int,
-        config: SystemConfig,
-        seed: int = 1,
-        warmup: int = 0,
-    ) -> SimResult:
-        """The run of ``trace_factory(name, ...)`` on ``config``, memoised.
-
-        The cell becomes a campaign :class:`~repro.campaign.job.Job`, named
-        by the factory's registered workload kind
-        (:meth:`repro.campaign.Campaign.kind_for_factory`), and goes through
-        :func:`~repro.campaign.executor.execute_job`, so the two share
-        entries and the path to the cache tiers.
-        """
-        # The campaign layer imports us.
-        from repro.campaign.executor import execute_job
-        from repro.campaign.job import Campaign, Job
-
-        job = Job(
-            workload=name, length=length, config=config, seed=seed,
-            warmup=warmup, workload_kind=Campaign.kind_for_factory(trace_factory),
-        )
-        return execute_job(job, cache=self)
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot for session summaries."""

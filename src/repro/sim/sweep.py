@@ -1,9 +1,9 @@
 """Parameter sweeps shared by the figure benchmarks.
 
-Both sweep helpers expand their matrix into :class:`repro.campaign.Campaign`
-jobs and execute them through :func:`repro.campaign.run_campaign`, so they
-share the campaign engine's cache tiers and can run cells in parallel via
-``max_workers``.
+Both sweep helpers take a registered workload kind (``"spec2017"``), expand
+their matrix into one :class:`repro.campaign.Job` per cell and execute them
+through :func:`repro.campaign.run_campaign`, so they share the campaign
+engine's cache tiers and can run cells in parallel via ``max_workers``.
 """
 
 from __future__ import annotations
@@ -50,37 +50,37 @@ def geomean(values: Iterable[float], *, dropped_out: list | None = None) -> floa
 
 def _matrix_sweep(
     cache: ResultsCache,
-    trace_factory,
+    kind: str,
     apps: Sequence[str],
     configs,  # {inner key: SystemConfig}
     length: int,
     max_workers: int,
 ) -> dict[str, dict]:
-    """Run ``apps`` × ``configs`` through the campaign engine."""
-    from repro.campaign import Campaign, Job, run_campaign
+    """Run ``apps`` × ``configs`` of workload ``kind`` through the campaign
+    engine."""
+    from repro.campaign import Job, run_campaign
 
-    kind = Campaign.kind_for_factory(trace_factory)
-    jobs = [
-        Job(workload=app, length=length, config=config, workload_kind=kind)
-        for app in apps
-        for config in configs.values()
-    ]
-    report = run_campaign(Campaign(jobs), cache=cache, max_workers=max_workers)
-    return {
+    jobs = {
         app: {
-            inner: report.results[
-                Job(workload=app, length=length, config=config,
-                    workload_kind=kind).key
-            ]
+            inner: Job(workload=app, length=length, config=config,
+                       workload_kind=kind)
             for inner, config in configs.items()
         }
         for app in apps
+    }
+    report = run_campaign(
+        [job for cells in jobs.values() for job in cells.values()],
+        cache=cache, max_workers=max_workers,
+    )
+    return {
+        app: {inner: report.results[job.key] for inner, job in cells.items()}
+        for app, cells in jobs.items()
     }
 
 
 def policy_sweep(
     cache: ResultsCache,
-    trace_factory,
+    kind: str,
     apps: Sequence[str],
     sb_entries: int,
     policies: Sequence[StorePrefetchPolicy | str],
@@ -90,20 +90,21 @@ def policy_sweep(
 ) -> dict[str, dict[str, SimResult]]:
     """Run every app under every policy at one SB size.
 
-    Returns ``{app: {policy: SimResult}}``.  ``max_workers`` > 1 runs the
-    cells through the campaign engine's process pool.
+    ``kind`` names a registered workload kind (``"spec2017"``).  Returns
+    ``{app: {policy: SimResult}}``.  ``max_workers`` > 1 runs the cells
+    through the campaign engine's process pool.
     """
     base = base_config or SystemConfig()
     configs = {
         StorePrefetchPolicy(policy).value: base.with_sb(sb_entries).with_policy(policy)
         for policy in policies
     }
-    return _matrix_sweep(cache, trace_factory, apps, configs, length, max_workers)
+    return _matrix_sweep(cache, kind, apps, configs, length, max_workers)
 
 
 def sb_size_sweep(
     cache: ResultsCache,
-    trace_factory,
+    kind: str,
     apps: Sequence[str],
     sb_sizes: Sequence[int],
     policy: StorePrefetchPolicy | str,
@@ -111,12 +112,15 @@ def sb_size_sweep(
     base_config: SystemConfig | None = None,
     max_workers: int = 1,
 ) -> dict[str, dict[int, SimResult]]:
-    """Run every app under one policy across several SB sizes."""
+    """Run every app of ``kind`` under one policy across several SB sizes.
+
+    Returns ``{app: {sb_size: SimResult}}``.
+    """
     base = base_config or SystemConfig()
     configs = {
         size: base.with_sb(size).with_policy(policy) for size in sb_sizes
     }
-    return _matrix_sweep(cache, trace_factory, apps, configs, length, max_workers)
+    return _matrix_sweep(cache, kind, apps, configs, length, max_workers)
 
 
 def normalized_performance(

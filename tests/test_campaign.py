@@ -9,7 +9,6 @@ run, plus the manifest/CLI/telemetry surface.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import os
 import subprocess
@@ -37,14 +36,8 @@ from repro.campaign import (
 )
 from repro.campaign.manifest import ManifestError
 from repro.campaign.progress import DISK_HIT, FAILED, MEMORY_HIT, RETRY, SIMULATED
-from repro.sim.runner import result_key
 
 LENGTH = 2_000  # small but long enough to exercise every stat
-
-
-def exchange2_as(name, length, seed=1):
-    """An unregistered module-level workload factory."""
-    return spec2017("exchange2", length=length, seed=seed)
 
 
 def small_job(app="gcc", policy="at-commit", sb=14, **kwargs) -> Job:
@@ -53,9 +46,14 @@ def small_job(app="gcc", policy="at-commit", sb=14, **kwargs) -> Job:
 
 
 class TestJob:
-    def test_key_matches_results_cache_key(self):
-        job = small_job()
-        assert job.key == result_key("gcc", LENGTH, 1, job.config)
+    def test_key_is_pinned(self):
+        """Literal keys: a changed key orphans every stored result."""
+        assert small_job(policy="spb", warmup=500).key == (
+            "spec2017-gcc-L2000-s1-w500-148779e88da6dfcb"
+        )
+        assert Job(workload="gcc", length=LENGTH, config=SystemConfig()).key == (
+            "spec2017-gcc-L2000-s1-w0-439f38ba691a6752"
+        )
 
     def test_key_distinguishes_config(self):
         assert small_job(sb=14).key != small_job(sb=56).key
@@ -129,33 +127,6 @@ class TestCampaignMatrix:
         )
         assert len(campaign) == 1
 
-    def test_kind_for_factory_roundtrip(self):
-        assert Campaign.kind_for_factory(spec2017) == "spec2017"
-
-    def test_unregistered_factory_is_named_by_its_import_path(self):
-        kind = Campaign.kind_for_factory(exchange2_as)
-        assert kind == f"{__name__}.exchange2_as"
-        assert workload_factory(kind) is exchange2_as
-
-    def test_factories_without_an_import_path_are_refused(self):
-        """Two lambdas once shared the kind ``<lambda>``: the second
-        ``get`` returned the first's cached exchange2 run for mcf."""
-        exchange2 = lambda name, length, seed=1: spec2017("exchange2", length=length, seed=seed)  # noqa: E731
-        mcf = lambda name, length, seed=1: spec2017("mcf", length=length, seed=seed)  # noqa: E731
-
-        def nested(name, length, seed=1):
-            return spec2017("mcf", length=length, seed=seed)
-
-        cache = ResultsCache()
-        for factory in (exchange2, mcf, nested, functools.partial(exchange2_as, "x")):
-            with pytest.raises(ValueError, match="register_workload"):
-                cache.get(factory, "x", LENGTH, SystemConfig())
-        assert cache.misses == 0
-        register_workload("mcf-as-lambda", mcf)
-        assert cache.get(mcf, "x", LENGTH, SystemConfig()) == simulate(
-            spec2017("mcf", length=LENGTH), SystemConfig()
-        )
-
 
 class TestResultStore:
     def test_round_trip_equal(self, tmp_path):
@@ -202,9 +173,8 @@ class TestResultStore:
 class TestResultsCacheTiers:
     def test_counters(self, tmp_path):
         cache = ResultsCache(store=ResultStore(str(tmp_path)))
-        cfg = SystemConfig()
-        cache.get(spec2017, "gcc", LENGTH, cfg)
-        cache.get(spec2017, "gcc", LENGTH, cfg)
+        execute_job(small_job(), cache=cache)
+        execute_job(small_job(), cache=cache)
         assert cache.stats() == {
             "memory_hits": 1, "disk_hits": 0, "misses": 1, "entries": 1,
         }
@@ -212,11 +182,9 @@ class TestResultsCacheTiers:
 
     def test_disk_tier_survives_new_cache(self, tmp_path):
         store_dir = str(tmp_path)
-        ResultsCache(store=ResultStore(store_dir)).get(
-            spec2017, "gcc", LENGTH, SystemConfig()
-        )
+        execute_job(small_job(), cache=ResultsCache(store=ResultStore(store_dir)))
         fresh = ResultsCache(store=ResultStore(store_dir))
-        fresh.get(spec2017, "gcc", LENGTH, SystemConfig())
+        execute_job(small_job(), cache=fresh)
         assert fresh.disk_hits == 1
         assert fresh.misses == 0
 
@@ -432,13 +400,10 @@ class TestTraceReuse:
         assert calls == ["gcc", "gcc"]
 
     def test_key_computed_once(self, monkeypatch):
-        from repro.campaign import job as job_module
-
         job = small_job()
         first = job.key
         monkeypatch.setattr(
-            job_module, "result_key",
-            lambda *args, **kwargs: pytest.fail("key recomputed"),
+            SystemConfig, "cache_key", lambda self: pytest.fail("key recomputed")
         )
         assert job.key == first
         assert small_job() == job  # the memo is not a field
@@ -475,12 +440,11 @@ class TestResultKeysNameTheKind:
         assert again.get(spec_job) == first.get(spec_job)
         assert again.get(alias_job) == second.get(alias_job)
 
-    def test_results_cache_get_keys_by_kind(self):
+    def test_execute_job_keys_by_kind(self):
         kind = self.register_alias_kind()
-        alias = workload_factory(kind)
         cache = ResultsCache()
-        spec = cache.get(spec2017, "mcf", LENGTH, SystemConfig())
-        aliased = cache.get(alias, "mcf", LENGTH, SystemConfig())
+        spec = execute_job(small_job(app="mcf"), cache=cache)
+        aliased = execute_job(small_job(app="mcf", workload_kind=kind), cache=cache)
         assert cache.misses == 2
         assert spec.cycles != aliased.cycles
 
@@ -539,6 +503,72 @@ class TestPrefixSharing:
         report = run_campaign(self.jobs(), max_workers=1)
         assert report.ok and copies
         assert all(ref() is None for ref in copies)
+
+    def bwaves_group(self):
+        """at-commit/SPB × SB 14/56 on bwaves: four cells of one prefix key."""
+        return [
+            job for job in self.jobs()
+            if job.workload == "bwaves"
+            and job.config.store_prefetch.value in ("at-commit", "spb")
+        ]
+
+    def test_job_failing_before_the_share_releases_its_cell(self, monkeypatch):
+        """Three surviving cells need two forks, and the last one takes the
+        snapshot: a failed cell must not keep its count in the share."""
+        from repro.campaign import executor
+
+        jobs = self.bwaves_group()
+        victim = jobs[1]  # at-commit/SB56, between two survivors
+        simulate_for_real = executor.simulate
+        held = []
+
+        def fail_victim(trace, config, **kwargs):
+            if config == victim.config:
+                raise RuntimeError("injected job failure")
+            result = simulate_for_real(trace, config, **kwargs)
+            held.append(kwargs["prefix"].holds_snapshot())
+            return result
+
+        monkeypatch.setattr(executor, "simulate", fail_victim)
+        report = run_campaign(jobs, max_workers=1, retries=0)
+        monkeypatch.undo()
+        assert [o.job for o in report.failures] == [victim]
+        assert report.telemetry.forks == 2
+        assert held == [True, True, False]
+        for job in jobs:
+            if job != victim:
+                assert report.get(job) == run_job(job)
+
+    def test_job_failing_inside_the_share_is_counted_once(self, monkeypatch):
+        """A cell that fails after the share counted it is not released
+        again: the next cell still copies the snapshot, the last takes it."""
+        from repro.sim import prefix
+
+        jobs = self.bwaves_group()
+        victim = jobs[1]
+        retarget_for_real = prefix.retarget
+        pipelines = []
+        new_pipeline_for_real = prefix.new_pipeline
+
+        def fail_victim(pipeline, config):
+            if config == victim.config:
+                raise RuntimeError("injected retarget failure")
+            retarget_for_real(pipeline, config)
+
+        def counting_new_pipeline(*args):
+            pipelines.append(args)
+            return new_pipeline_for_real(*args)
+
+        monkeypatch.setattr(prefix, "retarget", fail_victim)
+        monkeypatch.setattr(prefix, "new_pipeline", counting_new_pipeline)
+        report = run_campaign(jobs, max_workers=1, retries=0)
+        monkeypatch.undo()
+        assert [o.job for o in report.failures] == [victim]
+        assert len(pipelines) == 1  # one prefix; no cell ran alone
+        assert report.telemetry.forks == 3
+        for job in jobs:
+            if job != victim:
+                assert report.get(job) == run_job(job)
 
     def test_reference_and_warmed_cells_never_fork(self):
         jobs = [
@@ -650,24 +680,17 @@ class TestExecuteJob:
         assert cache.memory_hits == 1
         assert cache.misses == 1
 
-    def test_matches_results_cache_get(self, tmp_path):
-        cache = ResultsCache()
-        job = small_job()
-        via_engine = execute_job(job, cache=cache)
-        via_get = cache.get(spec2017, "gcc", LENGTH, job.config)
-        assert via_engine is via_get  # same key → same memoised object
-
 
 class TestSweepsThroughEngine:
     def test_policy_sweep_parallel_equals_serial(self):
         from repro.sim.sweep import policy_sweep
 
         serial = policy_sweep(
-            ResultsCache(), spec2017, ["gcc"], 14,
+            ResultsCache(), "spec2017", ["gcc"], 14,
             ["at-commit", "spb"], LENGTH, max_workers=1,
         )
         parallel = policy_sweep(
-            ResultsCache(), spec2017, ["gcc"], 14,
+            ResultsCache(), "spec2017", ["gcc"], 14,
             ["at-commit", "spb"], LENGTH, max_workers=2,
         )
         assert serial == parallel
@@ -790,12 +813,10 @@ class TestMulticoreJobs:
         defaults.update(kwargs)
         return Job(**defaults)
 
-    def test_key_matches_multicore_result_key(self):
-        from repro.campaign import multicore_result_key
-
-        job = self.multicore_job()
-        assert job.key == multicore_result_key(
-            "swaptions", 2, 1_000, 1, job.config
+    def test_key_is_pinned(self):
+        """Literal key: a changed key orphans every stored result."""
+        assert self.multicore_job().key == (
+            "parsec-swaptions-T2-L1000-s1-d3e57c1e263a22a1"
         )
 
     def test_multicore_keys_disjoint_from_single_core(self):

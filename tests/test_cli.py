@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config.system import CachePrefetcherKind
 
 
 class TestParser:
@@ -20,6 +21,14 @@ class TestParser:
     def test_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "gcc", "--policy", "magic"])
+
+    @pytest.mark.parametrize("argv", [["run", "gcc"], ["multicore", "dedup"]])
+    def test_prefetcher_choices_follow_the_enum(self, argv):
+        for kind in CachePrefetcherKind:
+            args = build_parser().parse_args(argv + ["--prefetcher", kind.value])
+            assert args.prefetcher == kind.value
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--prefetcher", "magic"])
 
 
 class TestCommands:

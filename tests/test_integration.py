@@ -7,6 +7,7 @@ checks a *shape* (who wins, how trends move), not absolute cycle counts.
 import pytest
 
 from repro import ResultsCache, SystemConfig, simulate, spec2017
+from repro.campaign import Job, execute_job
 from repro.sim.sweep import geomean
 from repro.workloads import SB_BOUND_SPEC
 
@@ -14,9 +15,14 @@ LENGTH = 30_000
 _cache = ResultsCache()
 
 
+def cached(app, length, cfg):
+    """One spec2017 run through the shared cache."""
+    return execute_job(Job(workload=app, length=length, config=cfg), cache=_cache)
+
+
 def run(app, policy, sb):
     cfg = SystemConfig.skylake(sb_entries=sb, store_prefetch=policy)
-    return _cache.get(spec2017, app, LENGTH, cfg)
+    return cached(app, LENGTH, cfg)
 
 
 def perf(app, policy, sb):
@@ -85,7 +91,7 @@ class TestSbBoundClassification:
         classified = set()
         for app in spec2017_names():
             cfg = SystemConfig.skylake(sb_entries=56, store_prefetch="at-commit")
-            result = _cache.get(spec2017, app, 50_000, cfg)
+            result = cached(app, 50_000, cfg)
             if result.topdown.is_sb_bound:
                 classified.add(app)
         assert classified == set(SB_BOUND_SPEC)
@@ -158,8 +164,8 @@ class TestCoreConfigurations:
         trace = spec2017("bwaves", length=LENGTH)
         base_cfg = SystemConfig.preset(preset, store_prefetch="at-commit")
         spb_cfg = SystemConfig.preset(preset, store_prefetch="spb")
-        base = _cache.get(spec2017, "bwaves", LENGTH, base_cfg)
-        spb = _cache.get(spec2017, "bwaves", LENGTH, spb_cfg)
+        base = cached("bwaves", LENGTH, base_cfg)
+        spb = cached("bwaves", LENGTH, spb_cfg)
         assert spb.cycles < base.cycles
 
 
@@ -174,7 +180,7 @@ class TestSensitivityToN:
             from repro.config.system import SpbConfig
 
             cfg = replace(cfg, spb=SpbConfig(check_interval=n))
-            results[n] = _cache.get(spec2017, "bwaves", LENGTH, cfg).cycles
+            results[n] = cached("bwaves", LENGTH, cfg).cycles
         ratio = results[24] / results[48]
         assert 0.9 < ratio < 1.1
 
@@ -184,6 +190,6 @@ class TestSensitivityToN:
 
         plain_cfg = SystemConfig.skylake(sb_entries=14, store_prefetch="spb")
         dyn_cfg = replace(plain_cfg, spb=SpbConfig(dynamic_size=True))
-        plain = _cache.get(spec2017, "bwaves", LENGTH, plain_cfg)
-        dynamic = _cache.get(spec2017, "bwaves", LENGTH, dyn_cfg)
+        plain = cached("bwaves", LENGTH, plain_cfg)
+        dynamic = cached("bwaves", LENGTH, dyn_cfg)
         assert dynamic.cycles >= plain.cycles * 0.98

@@ -82,7 +82,7 @@ class TestExecution:
         traces = parsec("swaptions", threads=2, length=2_000)
         config = SystemConfig.skylake(num_cores=2, engine="reference")
         ref = simulate_multicore(traces, config)
-        fast = simulate_multicore(traces, config, engine="fast")
+        fast = simulate_multicore(traces, config.with_engine("fast"))
         assert fast.cycles == ref.cycles
         assert fast.per_core == ref.per_core
 

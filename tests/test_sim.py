@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ResultsCache, SystemConfig, simulate, spec2017
+from repro.campaign import Job, execute_job
 from repro.config.system import StorePrefetchPolicy
 from repro.sim.sweep import (
     geomean,
@@ -10,6 +11,11 @@ from repro.sim.sweep import (
     policy_sweep,
     sb_size_sweep,
 )
+
+
+def cached(cache, app, length, cfg):
+    """One spec2017 run through ``cache``."""
+    return execute_job(Job(workload=app, length=length, config=cfg), cache=cache)
 
 
 class TestSimulate:
@@ -73,26 +79,26 @@ class TestResultsCache:
     def test_caches_by_config(self):
         cache = ResultsCache()
         cfg = SystemConfig()
-        a = cache.get(spec2017, "gcc", 5_000, cfg)
-        b = cache.get(spec2017, "gcc", 5_000, cfg)
+        a = cached(cache, "gcc", 5_000, cfg)
+        b = cached(cache, "gcc", 5_000, cfg)
         assert a is b
         assert len(cache) == 1
 
     def test_distinct_configs_not_shared(self):
         cache = ResultsCache()
-        cache.get(spec2017, "gcc", 5_000, SystemConfig())
-        cache.get(spec2017, "gcc", 5_000, SystemConfig().with_sb(14))
+        cached(cache, "gcc", 5_000, SystemConfig())
+        cached(cache, "gcc", 5_000, SystemConfig().with_sb(14))
         assert len(cache) == 2
 
     def test_distinct_lengths_not_shared(self):
         cache = ResultsCache()
-        cache.get(spec2017, "gcc", 5_000, SystemConfig())
-        cache.get(spec2017, "gcc", 6_000, SystemConfig())
+        cached(cache, "gcc", 5_000, SystemConfig())
+        cached(cache, "gcc", 6_000, SystemConfig())
         assert len(cache) == 2
 
     def test_clear(self):
         cache = ResultsCache()
-        cache.get(spec2017, "gcc", 5_000, SystemConfig())
+        cached(cache, "gcc", 5_000, SystemConfig())
         cache.clear()
         assert len(cache) == 0
 
@@ -116,7 +122,7 @@ class TestSweeps:
     def test_policy_sweep_shape(self):
         cache = ResultsCache()
         results = policy_sweep(
-            cache, spec2017, ["gcc", "bwaves"], sb_entries=28,
+            cache, "spec2017", ["gcc", "bwaves"], sb_entries=28,
             policies=["at-commit", "spb"], length=5_000,
         )
         assert set(results) == {"gcc", "bwaves"}
@@ -125,7 +131,7 @@ class TestSweeps:
     def test_sb_size_sweep_shape(self):
         cache = ResultsCache()
         results = sb_size_sweep(
-            cache, spec2017, ["gcc"], sb_sizes=[14, 56],
+            cache, "spec2017", ["gcc"], sb_sizes=[14, 56],
             policy="at-commit", length=5_000,
         )
         assert set(results["gcc"]) == {14, 56}
@@ -133,23 +139,23 @@ class TestSweeps:
 
     def test_sweeps_share_cache(self):
         cache = ResultsCache()
-        policy_sweep(cache, spec2017, ["gcc"], 56, ["at-commit"], 5_000)
+        policy_sweep(cache, "spec2017", ["gcc"], 56, ["at-commit"], 5_000)
         before = len(cache)
-        sb_size_sweep(cache, spec2017, ["gcc"], [56], "at-commit", 5_000)
+        sb_size_sweep(cache, "spec2017", ["gcc"], [56], "at-commit", 5_000)
         assert len(cache) == before  # same (app, config) reused
 
     def test_normalized_performance(self):
         cache = ResultsCache()
         ideal_cfg = SystemConfig.skylake(sb_entries=1024, store_prefetch="ideal")
-        ideal = {"gcc": cache.get(spec2017, "gcc", 5_000, ideal_cfg)}
-        base = {"gcc": cache.get(spec2017, "gcc", 5_000, SystemConfig())}
+        ideal = {"gcc": cached(cache, "gcc", 5_000, ideal_cfg)}
+        base = {"gcc": cached(cache, "gcc", 5_000, SystemConfig())}
         norm = normalized_performance(base, ideal)
         assert 0 < norm["gcc"] <= 1.05
 
     def test_policy_enum_accepted(self):
         cache = ResultsCache()
         results = policy_sweep(
-            cache, spec2017, ["gcc"], 56,
+            cache, "spec2017", ["gcc"], 56,
             policies=[StorePrefetchPolicy.AT_COMMIT], length=5_000,
         )
         assert "at-commit" in results["gcc"]

@@ -27,7 +27,6 @@ from repro.sim.sweep import (
     policy_sweep,
     sb_size_sweep,
 )
-from repro.workloads.spec import spec2017
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 SWEEP_GOLDEN = os.path.join(GOLDEN_DIR, "sweep_tiny.json")
@@ -53,7 +52,7 @@ def _tiny_sweep_summary() -> dict:
     """The golden payload: stable scalars from the two-config sweep."""
     cache = ResultsCache()
     results = policy_sweep(
-        cache, spec2017, APPS, sb_entries=14, policies=POLICIES, length=LENGTH
+        cache, "spec2017", APPS, sb_entries=14, policies=POLICIES, length=LENGTH
     )
     summary = {}
     for app, by_policy in results.items():
@@ -92,10 +91,10 @@ class TestSweepGolden:
 
         cache = ResultsCache()
         reference = policy_sweep(
-            cache, spec2017, APPS, sb_entries=14, policies=POLICIES, length=LENGTH
+            cache, "spec2017", APPS, sb_entries=14, policies=POLICIES, length=LENGTH
         )
         fast = policy_sweep(
-            ResultsCache(), spec2017, APPS, sb_entries=14, policies=POLICIES,
+            ResultsCache(), "spec2017", APPS, sb_entries=14, policies=POLICIES,
             length=LENGTH, base_config=SystemConfig(engine="fast"),
         )
         for app in APPS:
@@ -108,11 +107,11 @@ class TestSweepGolden:
     def test_sb_size_sweep_shape_and_determinism(self):
         cache = ResultsCache()
         results = sb_size_sweep(
-            cache, spec2017, APPS, sb_sizes=[14, 28], policy="at-commit",
+            cache, "spec2017", APPS, sb_sizes=[14, 28], policy="at-commit",
             length=LENGTH,
         )
         again = sb_size_sweep(
-            cache, spec2017, APPS, sb_sizes=[14, 28], policy="at-commit",
+            cache, "spec2017", APPS, sb_sizes=[14, 28], policy="at-commit",
             length=LENGTH,
         )
         assert set(results) == set(APPS)
@@ -128,7 +127,7 @@ class TestSweepGolden:
     def test_normalized_performance_against_ideal(self):
         cache = ResultsCache()
         results = policy_sweep(
-            cache, spec2017, APPS, sb_entries=14,
+            cache, "spec2017", APPS, sb_entries=14,
             policies=["at-commit", "ideal"], length=LENGTH,
         )
         normalized = normalized_performance(
